@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race vet bench bench-all bench-history fuzz-smoke ci
+.PHONY: build test test-race vet bench bench-all bench-history fuzz-smoke stress ci
 
 build:
 	$(GO) build ./...
@@ -28,9 +28,8 @@ vet:
 # compiled simulator kernel vs the reference interpreter, the optimization
 # server under concurrent load (cold store vs warm), the multi-core
 # task-graph solve with serial-vs-parallel schedule execution, and the
-# sharded-store scenario matrix (binary vs JSON warm reads, zero-copy mmap
-# vs copying reads, replay over a live mapping, batched vs plain puts, pooled
-# replay allocations). bench-all runs everything.
+# sharded-store scenario matrix (warm binary reads, pooled replay
+# allocations, put cost). bench-all runs everything.
 bench:
 	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkSimCompiledKernel|BenchmarkServeLatency|BenchmarkServeThroughput|BenchmarkTaskGraphSolve|BenchmarkStoreScenarioMatrix)$$' -benchmem .
 
@@ -42,11 +41,17 @@ bench-all:
 # corpus; any crasher it finds becomes a regression seed under testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime=10s ./internal/schedfile
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime=10s ./internal/schedfile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordingBinary$$' -fuzztime=10s ./internal/schedfile
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadGraphSpec$$' -fuzztime=10s ./internal/schedfile
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime=10s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/serve
+
+# Repeats the store's concurrency tests (concurrent Puts and readers,
+# singleflight, cancellation, compaction under load) 200 times under the race
+# detector, so an intermittent failure shows up here rather than as a flaky
+# Tier-1 run.
+stress:
+	$(GO) test -race -count=200 -run 'Concurrent|Singleflight|RunCtx|Compact' ./internal/pipeline
 
 # The PR gate: vet, full build, the whole test suite, the race detector over
 # the packages with real concurrency (pipeline singleflight and concurrent
@@ -54,7 +59,7 @@ fuzz-smoke:
 # fan-out including the multi-core machine pool, parallel branch-and-bound,
 # concurrent replay of shared recordings, the multi-core scheduler-simulator
 # and HEFT placement, and the optimization server's flight table and worker
-# pool), and the perf-record gate: no committed BENCH_*.json may claim a
+# pool), the store stress target above, and the perf-record gate: no committed BENCH_*.json may claim a
 # speedup below its floor (1.0 by default) or allocations above a committed
 # allocs_ceiling — see internal/tools/benchcheck for the schema. benchcheck
 # -history additionally tracks the gated metrics across runs in
@@ -64,6 +69,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/pipeline ./internal/exp ./internal/milp ./internal/lp ./internal/sim ./internal/profile ./internal/serve ./internal/core ./internal/schedfile ./internal/workloads ./internal/analytic
+	$(MAKE) stress
 	$(GO) run ./internal/tools/benchcheck
 
 # benchcheck in history mode: the usual floor/ceiling gate plus a comparison

@@ -86,10 +86,9 @@ func main() {
 		fmt.Printf("  %-10s %6d artifact(s)  %s\n", k, ks.Artifacts, fmtSize(ks.Bytes))
 	}
 	if compacted != nil {
-		fmt.Printf("compacted to budget %s: %s -> %s (evicted %d artifact(s), %s; %d JSON twin(s), %d stale temp(s))\n",
+		fmt.Printf("compacted to budget %s: %s -> %s (evicted %d artifact(s), %s; %d stale temp(s))\n",
 			fmtSize(compacted.BudgetBytes), fmtSize(compacted.BytesBefore), fmtSize(compacted.BytesAfter),
-			compacted.EvictedArtifacts, fmtSize(compacted.EvictedBytes),
-			compacted.EvictedJSONTwins, compacted.RemovedTemps)
+			compacted.EvictedArtifacts, fmtSize(compacted.EvictedBytes), compacted.RemovedTemps)
 	}
 }
 

@@ -28,19 +28,11 @@ type App struct {
 	// Scale is the workload scale factor; registered by ScaleFlag, 1.0
 	// otherwise.
 	Scale float64
-	// CacheDir, CacheCodec, NoCache and Manifest are the cache flags every
-	// command registers.
-	CacheDir   string
-	CacheCodec string
-	NoCache    bool
-	Manifest   string
-
-	// CacheMmap enables zero-copy mmap reads of binary artifacts (on by
-	// default where the platform supports it); CacheWriteBatch coalesces
-	// artifact writes into per-shard directory-sync batches, flushed at
-	// Close. Both are escape hatches more than tunables.
-	CacheMmap       bool
-	CacheWriteBatch bool
+	// CacheDir, NoCache and Manifest are the cache flags every command
+	// registers.
+	CacheDir string
+	NoCache  bool
+	Manifest string
 
 	// PerModeProfile disables the record-once/replay-per-mode profiling path
 	// and simulates every mode of every profile instead. The numbers are
@@ -73,16 +65,10 @@ func New(name string) *App {
 	a := &App{Name: name, Scale: 1.0}
 	flag.StringVar(&a.CacheDir, "cache-dir", "",
 		"artifact cache directory: repeated runs with the same configuration skip profiling and MILP solves (empty = in-memory only)")
-	flag.StringVar(&a.CacheCodec, "cache-codec", "binary",
-		"encoding for newly written artifacts, binary or json; either store reads both, so switching never invalidates a cache")
 	flag.BoolVar(&a.NoCache, "no-cache", false,
 		"ignore -cache-dir and recompute everything (artifacts stay in memory for this run)")
 	flag.StringVar(&a.Manifest, "manifest", "",
 		"write a JSON run manifest (per-stage cache hits, misses and timings) to this file")
-	flag.BoolVar(&a.CacheMmap, "cache-mmap", true,
-		"read binary artifacts zero-copy through mmap where the platform supports it (decoded values are identical either way)")
-	flag.BoolVar(&a.CacheWriteBatch, "cache-write-batch", true,
-		"coalesce artifact writes into per-shard batches with one directory sync each (still crash-safe; flushed at exit)")
 	flag.BoolVar(&a.PerModeProfile, "per-mode-profile", false,
 		"simulate every mode when profiling instead of recording one event stream and replaying it (bit-identical, slower)")
 	flag.BoolVar(&a.ReferenceSim, "reference-sim", false,
@@ -128,17 +114,9 @@ func (a *App) Runner() *pipeline.Runner {
 	if a.runner == nil {
 		var store *pipeline.Store
 		if a.CacheDir != "" && !a.NoCache {
-			format, err := pipeline.ParseFormat(a.CacheCodec)
+			s, err := pipeline.Open(a.CacheDir)
 			if err != nil {
 				a.Die(err)
-			}
-			s, err := pipeline.OpenWithFormat(a.CacheDir, format)
-			if err != nil {
-				a.Die(err)
-			}
-			s.SetMappedReads(a.CacheMmap)
-			if a.CacheWriteBatch {
-				s.EnableWriteBatching(pipeline.BatchConfig{})
 			}
 			store = s
 		}
@@ -163,10 +141,10 @@ func (a *App) Config() *exp.Config {
 	return c
 }
 
-// Close finishes the run's bookkeeping: it flushes batched store writes and
-// the store's access-time index, stops the CPU profile, writes the heap
-// profile, and writes the run manifest, each only if the corresponding flag
-// was given. Call it once, after the command's work is done.
+// Close finishes the run's bookkeeping: it persists the store's access-time
+// index, stops the CPU profile, writes the heap profile, and writes the run
+// manifest, each only if the corresponding flag was given. Call it once,
+// after the command's work is done.
 func (a *App) Close() {
 	if a.runner != nil {
 		if store := a.runner.Store(); store != nil {

@@ -8,10 +8,10 @@ import (
 	"ctdvs/internal/sim"
 )
 
-// Binary codecs for the solve and graphsolve artifacts. Layouts mirror the
-// JSON structs field for field (parity-tested), including the embedded
-// schedule file, so a warm sweep's solve reads skip JSON tokenization. The
-// stages keep their JSON codecs as the versioned fallback.
+// Binary codecs for the solve and graphsolve artifacts, their only store
+// codecs. Layouts follow the artifact structs field for field, including the
+// embedded schedule file, so a warm sweep's solve reads skip JSON
+// tokenization.
 
 func putSolverStats(w *pipeline.BinWriter, s solverStatsJSON) {
 	w.Varint(int64(s.Status))
@@ -226,8 +226,9 @@ func decodeGraphSolveBinary(data []byte) (*graphSolveArtifact, error) {
 	return a, nil
 }
 
-// emptyToNil maps a decoded empty slice to nil, matching what the JSON codec
-// produces for an omitted/null field — the shape every real artifact has.
+// emptyToNil maps a decoded empty slice to nil, the shape a freshly computed
+// artifact has (an infeasible solve carries no predicted times), so a decoded
+// artifact equals the one that was encoded.
 func emptyToNil(vs []float64) []float64 {
 	if len(vs) == 0 {
 		return nil

@@ -238,58 +238,47 @@ func TestInfeasibleSolveCached(t *testing.T) {
 }
 
 // TestWarmRunAfterCompaction is the eviction-safety acceptance property: a
-// store compacted under a budget that only sheds JSON twins of binary
-// artifacts still serves a fully warm sweep — AllHits, zero recomputes,
-// bit-identical output.
+// store compacted under a budget that only sheds artifacts the sweep never
+// reads still serves a fully warm sweep — AllHits, zero recomputes,
+// bit-identical output. The shed files are stale JSON copies of every binary
+// artifact, as a cache written by an older build holds; the current build
+// never reads them, and being older they go first in LRU order.
 func TestWarmRunAfterCompaction(t *testing.T) {
-	jsonDir, binDir := t.TempDir(), t.TempDir()
-
-	// Cold run against a JSON-format store, then the same run against a
-	// binary store, then overlay the binary artifacts onto the JSON tree:
-	// every key now has a .bin plus its .json twin, the shape a fleet cache
-	// grows while migrating codecs.
-	jsonStore, err := pipeline.OpenWithFormat(jsonDir, pipeline.FormatJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := testConfig()
-	cold.Pipeline = pipeline.NewRunner(jsonStore)
+	dir := t.TempDir()
+	cold := cachedConfig(t, dir)
 	coldRows, err := DeadlineSweep(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldOut := renderSweep(t, zeroSolveTimes(coldRows))
 
-	binCfg := cachedConfig(t, binDir)
-	if _, err := DeadlineSweep(binCfg); err != nil {
-		t.Fatal(err)
-	}
-	twins := 0
-	err = filepath.WalkDir(binDir, func(path string, d fs.DirEntry, err error) error {
+	stale := time.Now().Add(-time.Hour)
+	var staleFiles int
+	var staleBytes int64
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".bin") {
-			return err
-		}
-		rel, err := filepath.Rel(binDir, path)
-		if err != nil {
 			return err
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		twins++
-		return os.WriteFile(filepath.Join(jsonDir, rel), data, 0o644)
+		old := strings.TrimSuffix(path, ".bin") + ".json"
+		if err := os.WriteFile(old, data, 0o644); err != nil {
+			return err
+		}
+		staleFiles++
+		staleBytes += int64(len(data))
+		return os.Chtimes(old, stale, stale)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if twins == 0 {
-		t.Fatal("binary run produced no binary artifacts")
+	if staleFiles == 0 {
+		t.Fatal("cold run produced no binary artifacts")
 	}
 
-	// Budget: everything except the JSON twins. Compact must satisfy it by
-	// evicting exactly those, leaving every binary artifact in place.
-	store, err := pipeline.Open(jsonDir)
+	store, err := pipeline.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,34 +286,19 @@ func TestWarmRunAfterCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var twinBytes int64
-	err = filepath.WalkDir(jsonDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-			return err
-		}
-		if info, err := os.Stat(strings.TrimSuffix(path, ".json") + ".bin"); err == nil && info != nil {
-			if fi, err := d.Info(); err == nil {
-				twinBytes += fi.Size()
-			}
-		}
-		return nil
-	})
+	st, err := store.Compact(ds.TotalBytes - staleBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Compact(ds.TotalBytes - twinBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EvictedJSONTwins == 0 || st.EvictedJSONTwins != st.EvictedArtifacts {
-		t.Fatalf("compact stats = %+v, want only JSON twins evicted", st)
+	if st.EvictedArtifacts != staleFiles || st.EvictedBytes != staleBytes {
+		t.Fatalf("compact stats = %+v, want exactly the %d stale files (%d bytes) evicted", st, staleFiles, staleBytes)
 	}
 	if st.BytesAfter > st.BudgetBytes {
 		t.Fatalf("compact left the store over budget: %+v", st)
 	}
 
 	// The compacted store serves a fully warm sweep from the surviving
-	// binary artifacts: AllHits for every retained kind, identical output.
+	// artifacts: AllHits for every kind, identical output.
 	warm := testConfig()
 	warm.Pipeline = pipeline.NewRunner(store)
 	warmRows, err := DeadlineSweep(warm)

@@ -185,18 +185,10 @@ func (c *Config) ProfileCtx(ctx context.Context, bench string, input int, levels
 	}
 	st := pipeline.Stage[*profile.Profile]{
 		Kind:   pipeline.StageProfile,
-		Encode: profile.Encode,
+		Format: pipeline.FormatBinary,
+		Encode: profile.EncodeBinary,
 		Decode: func(data []byte) (*profile.Profile, error) {
-			return profile.Decode(data, spec.Program, spec.Inputs[input], ms)
-		},
-		EncodeBinary: profile.EncodeBinary,
-		DecodeBinary: func(data []byte) (*profile.Profile, error) {
 			return profile.DecodeBinary(data, spec.Program, spec.Inputs[input], ms)
-		},
-		// Zero-copy warm reads: the matrices alias the mmap'd artifact,
-		// which the runner's slot cache keeps alive (see Stage.DecodeMapped).
-		DecodeMapped: func(data []byte) (*profile.Profile, error) {
-			return profile.DecodeBinaryMapped(data, spec.Program, spec.Inputs[input], ms)
 		},
 	}
 	return pipeline.RunCtx(ctx, c.runner(), st, c.profileKey(bench, input, levels), func(ctx context.Context) (*profile.Profile, error) {
@@ -223,19 +215,10 @@ func (c *Config) ProfileCtx(ctx context.Context, bench string, input int, levels
 func (c *Config) recording(ctx context.Context, spec *workloads.Spec, bench string, input int) (*sim.Recording, error) {
 	st := pipeline.Stage[*sim.Recording]{
 		Kind:   pipeline.StageRecording,
-		Encode: schedfile.EncodeRecording,
+		Format: pipeline.FormatBinary,
+		Encode: schedfile.EncodeRecordingBinary,
 		Decode: func(data []byte) (*sim.Recording, error) {
-			return schedfile.DecodeRecording(data, spec.Program, spec.Inputs[input], c.Machine.Config())
-		},
-		EncodeBinary: schedfile.EncodeRecordingBinary,
-		DecodeBinary: func(data []byte) (*sim.Recording, error) {
 			return schedfile.DecodeRecordingBinary(data, spec.Program, spec.Inputs[input], c.Machine.Config())
-		},
-		// Zero-copy warm reads: the trace and outcome bitstreams alias the
-		// mmap'd artifact and replay straight out of the page cache, which
-		// the runner's slot cache keeps alive (see Stage.DecodeMapped).
-		DecodeMapped: func(data []byte) (*sim.Recording, error) {
-			return schedfile.DecodeRecordingBinaryMapped(data, spec.Program, spec.Inputs[input], c.Machine.Config())
 		},
 	}
 	return pipeline.RunCtx(ctx, c.runner(), st, c.recordKey(bench, input), func(context.Context) (*sim.Recording, error) {

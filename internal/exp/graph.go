@@ -161,19 +161,9 @@ const graphSolveArtifactVersion = 2
 
 var graphSolveStage = pipeline.Stage[*graphSolveArtifact]{
 	Kind:   pipeline.StageGraphSolve,
-	Encode: func(a *graphSolveArtifact) ([]byte, error) { return json.Marshal(a) },
-	Decode: func(data []byte) (*graphSolveArtifact, error) {
-		var a graphSolveArtifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return nil, err
-		}
-		if a.Version != graphSolveArtifactVersion {
-			return nil, fmt.Errorf("exp: graph solve artifact version %d, want %d", a.Version, graphSolveArtifactVersion)
-		}
-		return &a, nil
-	},
-	EncodeBinary: encodeGraphSolveBinary,
-	DecodeBinary: decodeGraphSolveBinary,
+	Format: pipeline.FormatBinary,
+	Encode: encodeGraphSolveBinary,
+	Decode: decodeGraphSolveBinary,
 }
 
 // toGraphResult rebuilds the optimizer result from an artifact, recomputing

@@ -90,19 +90,9 @@ const solveArtifactVersion = 2
 
 var solveStage = pipeline.Stage[*solveArtifact]{
 	Kind:   pipeline.StageSolve,
-	Encode: func(a *solveArtifact) ([]byte, error) { return json.Marshal(a) },
-	Decode: func(data []byte) (*solveArtifact, error) {
-		var a solveArtifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return nil, err
-		}
-		if a.Version != solveArtifactVersion {
-			return nil, fmt.Errorf("exp: solve artifact version %d, want %d", a.Version, solveArtifactVersion)
-		}
-		return &a, nil
-	},
-	EncodeBinary: encodeSolveBinary,
-	DecodeBinary: decodeSolveBinary,
+	Format: pipeline.FormatBinary,
+	Encode: encodeSolveBinary,
+	Decode: decodeSolveBinary,
 }
 
 // toResult rebuilds the optimizer result from an artifact. Cold runs pass

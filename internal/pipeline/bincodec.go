@@ -4,41 +4,28 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"unsafe"
 )
 
 // This file provides the length-prefixed binary artifact framing shared by
 // the large artifact kinds (recordings, profiles, solve results, graph
-// solves). JSON remains the versioned fallback codec — every binary-capable
-// stage keeps its JSON Encode/Decode, the store reads both formats, and the
-// property tests assert the two decode to identical values — but the binary
-// form skips base64 round trips, field-name tokenization and per-field
-// reflection, which is what makes warm fleet-scale sweeps store-bound
-// rather than codec-bound.
+// solves). Binary is their only store codec: it skips base64 round trips,
+// field-name tokenization and per-field reflection, which is what keeps
+// warm fleet-scale sweeps store-bound rather than codec-bound.
 //
 // Framing: every binary artifact opens with the 4-byte magic "CTDB", one
 // format-version byte and one artifact-tag byte, followed by tag-specific
 // fields. Variable-length data is length-prefixed (uvarint counts, raw
 // little-endian payloads); decoders must bound every claimed length against
-// the remaining input before allocating, which BinReader's Uint64s/Bytes
-// helpers do for them (the FuzzDecodeRecording lesson: reject oversized or
-// negative lengths before make()).
-//
-// Version 2 pads every raw word run (Uint32s, Uint64s, and explicit Pad8
-// points before FloatsRaw runs) with zero bytes to an 8-byte boundary
-// measured from the start of the artifact. Since mmap'd artifacts are
-// page-aligned, a borrow-mode reader (NewBinReaderBorrow) can then return
-// slices that alias the mapping directly instead of copying — the zero-copy
-// warm path. Old version-1 artifacts fail the frame check and re-miss
-// safely, like every previous codec bump.
+// the remaining input before allocating, which BinReader's slice readers do
+// for them (reject oversized or negative lengths before make()).
 
 // Binary artifact magic and format version.
 var binMagic = [4]byte{'C', 'T', 'D', 'B'}
 
-// BinVersion is the version byte every binary artifact carries. Version 2
-// introduced alignment padding before raw word runs and the raw []uint32
-// trace layout.
-const BinVersion = 2
+// BinVersion is the version byte every binary artifact carries. Bump it
+// whenever a layout changes: artifacts of another version fail the frame
+// check, are deleted and re-miss instead of being misparsed.
+const BinVersion = 3
 
 // Artifact tags, one per binary-capable artifact layout. Tags are part of the
 // frame so a decoder can never misinterpret one kind's payload as another's.
@@ -50,8 +37,6 @@ const (
 )
 
 // IsBinaryArtifact reports whether data opens with the binary artifact magic.
-// The store uses it to route legacy JSON artifacts (which begin with '{') to
-// the JSON decoder regardless of file extension.
 func IsBinaryArtifact(data []byte) bool {
 	return len(data) >= 4 && [4]byte(data[:4]) == binMagic
 }
@@ -99,30 +84,17 @@ func (w *BinWriter) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Pad8 appends zero bytes until the next write lands on an 8-byte boundary
-// measured from the artifact's first byte. Raw word runs written after a pad
-// are alignment-eligible for borrow-mode readers.
-func (w *BinWriter) Pad8() {
-	for len(w.buf)%8 != 0 {
-		w.buf = append(w.buf, 0)
-	}
-}
-
-// Uint64s appends a length-prefixed []uint64 as raw little-endian words,
-// padded to an 8-byte boundary so borrow-mode readers can alias the run.
+// Uint64s appends a length-prefixed []uint64 as raw little-endian words.
 func (w *BinWriter) Uint64s(vs []uint64) {
 	w.Uvarint(uint64(len(vs)))
-	w.Pad8()
 	for _, v := range vs {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 	}
 }
 
-// Uint32s appends a length-prefixed []uint32 as raw little-endian words,
-// padded to an 8-byte boundary so borrow-mode readers can alias the run.
+// Uint32s appends a length-prefixed []uint32 as raw little-endian words.
 func (w *BinWriter) Uint32s(vs []uint32) {
 	w.Uvarint(uint64(len(vs)))
-	w.Pad8()
 	for _, v := range vs {
 		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 	}
@@ -150,25 +122,13 @@ func (w *BinWriter) Floats(vs []float64) {
 // MUST check Err before trusting any length-derived allocation they perform
 // themselves (the provided slice readers bound lengths internally).
 //
-// A plain BinReader (NewBinReader) never retains or aliases the input: all
-// slice reads copy, so the store can hand it a pooled buffer. A borrow-mode
-// reader (NewBinReaderBorrow) instead returns slices that alias the input
-// for aligned raw word runs — see NewBinReaderBorrow for the lifetime
-// contract.
+// A BinReader never retains or aliases the input: all slice reads copy, so
+// the store can hand it a pooled buffer.
 type BinReader struct {
-	data   []byte
-	err    error
-	tag    uint8
-	full   int  // original payload length, for absolute-offset alignment
-	borrow bool // raw word runs may alias data instead of copying
+	data []byte
+	err  error
+	tag  uint8
 }
-
-// hostLittleEndian reports whether this host stores multi-byte words
-// little-endian, the precondition for aliasing raw LE runs in place.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // NewBinReader validates the frame header (magic, version, tag) and positions
 // the reader at the first payload field.
@@ -185,23 +145,7 @@ func NewBinReader(data []byte, tag uint8) (*BinReader, error) {
 	if data[5] != tag {
 		return nil, fmt.Errorf("pipeline: binary artifact tag %d, want %d", data[5], tag)
 	}
-	return &BinReader{data: data[6:], tag: tag, full: len(data)}, nil
-}
-
-// NewBinReaderBorrow is NewBinReader in borrow mode: raw word runs
-// (Uint32s, Uint64s, FloatsBorrow) return slices aliasing data when the run
-// is 8-byte aligned and the host is little-endian, and copy otherwise — the
-// decoded value is byte-identical either way. The caller owns the lifetime:
-// data (typically an mmap'd Mapping) must stay valid for as long as any
-// decoded value is in use, and must tolerate writes through the decoded
-// slices (private copy-on-write mappings do; read-only ones fault).
-func NewBinReaderBorrow(data []byte, tag uint8) (*BinReader, error) {
-	r, err := NewBinReader(data, tag)
-	if err != nil {
-		return nil, err
-	}
-	r.borrow = true
-	return r, nil
+	return &BinReader{data: data[6:], tag: tag}, nil
 }
 
 // Err returns the first decoding error, if any.
@@ -326,53 +270,16 @@ func (r *BinReader) String() string {
 	return s
 }
 
-// Pad8 consumes the zero padding the writer's Pad8 emitted, restoring the
-// read cursor to an 8-byte boundary measured from the artifact's first byte.
-// Nonzero pad bytes are a framing error (padding is canonical).
-func (r *BinReader) Pad8() {
-	if r.err != nil {
-		return
-	}
-	pad := (8 - (r.full-len(r.data))%8) % 8
-	if pad > len(r.data) {
-		r.fail("truncated alignment padding")
-		return
-	}
-	for i := 0; i < pad; i++ {
-		if r.data[i] != 0 {
-			r.fail("nonzero alignment padding byte %d", r.data[i])
-			return
-		}
-	}
-	r.data = r.data[pad:]
-}
-
-// canBorrow reports whether the next run may alias the input: borrow mode,
-// little-endian host, and an align-byte-aligned read cursor. The writer's
-// Pad8 makes the cursor 8-aligned relative to the artifact start; the base
-// pointer check covers the mapping (page-aligned) and any copied buffer.
-func (r *BinReader) canBorrow(align uintptr) bool {
-	return r.borrow && hostLittleEndian && len(r.data) > 0 &&
-		uintptr(unsafe.Pointer(&r.data[0]))%align == 0
-}
-
-// Uint64s reads a length-prefixed, 8-byte-aligned []uint64 (raw
-// little-endian words); the claimed length is bounded by the remaining input
-// before allocation. In borrow mode an aligned run aliases the input.
+// Uint64s reads a length-prefixed []uint64 (raw little-endian words); the
+// claimed length is bounded by the remaining input before allocation.
 func (r *BinReader) Uint64s() []uint64 {
 	n := r.Uvarint()
-	r.Pad8()
 	if r.err != nil {
 		return nil
 	}
 	if n > uint64(len(r.data))/8 {
 		r.fail("word count %d exceeds %d remaining bytes", n, len(r.data))
 		return nil
-	}
-	if n > 0 && r.canBorrow(8) {
-		vs := unsafe.Slice((*uint64)(unsafe.Pointer(&r.data[0])), n)
-		r.data = r.data[8*n:]
-		return vs
 	}
 	vs := make([]uint64, n)
 	for i := range vs {
@@ -382,23 +289,16 @@ func (r *BinReader) Uint64s() []uint64 {
 	return vs
 }
 
-// Uint32s reads a length-prefixed, 8-byte-aligned []uint32 (raw
-// little-endian words); the claimed length is bounded by the remaining input
-// before allocation. In borrow mode an aligned run aliases the input.
+// Uint32s reads a length-prefixed []uint32 (raw little-endian words); the
+// claimed length is bounded by the remaining input before allocation.
 func (r *BinReader) Uint32s() []uint32 {
 	n := r.Uvarint()
-	r.Pad8()
 	if r.err != nil {
 		return nil
 	}
 	if n > uint64(len(r.data))/4 {
 		r.fail("word count %d exceeds %d remaining bytes", n, len(r.data))
 		return nil
-	}
-	if n > 0 && r.canBorrow(4) {
-		vs := unsafe.Slice((*uint32)(unsafe.Pointer(&r.data[0])), n)
-		r.data = r.data[4*n:]
-		return vs
 	}
 	vs := make([]uint32, n)
 	for i := range vs {
@@ -465,28 +365,6 @@ func (r *BinReader) FloatsInto(dst []float64) {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.data[8*i:]))
 	}
 	r.data = r.data[8*len(dst):]
-}
-
-// FloatsBorrow reads exactly n floats, like FloatsInto with a fresh
-// destination, but in borrow mode an aligned run aliases the input instead
-// of copying. Callers pair it with an explicit Pad8 on both sides, matching
-// the writer's Pad8 + FloatsRaw.
-func (r *BinReader) FloatsBorrow(n int) []float64 {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.data) < 8*n {
-		r.fail("float run of %d exceeds %d remaining bytes", n, len(r.data))
-		return nil
-	}
-	if n > 0 && r.canBorrow(8) {
-		vs := unsafe.Slice((*float64)(unsafe.Pointer(&r.data[0])), n)
-		r.data = r.data[8*n:]
-		return vs
-	}
-	vs := make([]float64, n)
-	r.FloatsInto(vs)
-	return vs
 }
 
 // FloatsRaw appends the raw IEEE-754 words of vs with no length prefix,

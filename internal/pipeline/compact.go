@@ -73,18 +73,16 @@ type CompactStats struct {
 	BytesAfter       int64 `json:"bytes_after"`
 	EvictedArtifacts int   `json:"evicted_artifacts"`
 	EvictedBytes     int64 `json:"evicted_bytes"`
-	EvictedJSONTwins int   `json:"evicted_json_twins"`
 	RemovedTemps     int   `json:"removed_temps"`
 }
 
 // artifact is one store file seen by scan.
 type artifact struct {
-	kind   Kind
-	key    Key
-	format Format
-	path   string
-	size   int64
-	mtime  time.Time
+	kind  Kind
+	key   Key
+	path  string
+	size  int64
+	mtime time.Time
 }
 
 // scan walks the store tree, returning every artifact file plus any stale
@@ -145,7 +143,7 @@ func (s *Store) scan() ([]artifact, []string, error) {
 					continue
 				}
 				arts = append(arts, artifact{
-					kind: kind, key: key, format: f,
+					kind: kind, key: key,
 					path: filepath.Join(shardDir, name),
 					size: info.Size(), mtime: info.ModTime(),
 				})
@@ -156,22 +154,19 @@ func (s *Store) scan() ([]artifact, []string, error) {
 }
 
 // Compact enforces a size budget on the store: it removes stale temp files,
-// then — while the tree exceeds budget bytes — evicts JSON-fallback
-// duplicates of binary artifacts first and least-recently-used artifacts
-// after that. Recency is the merge of this process's in-memory access table,
+// then — while the tree exceeds budget bytes — evicts least-recently-used
+// artifacts. Recency is the merge of this process's in-memory access table,
 // the sidecar index previous processes saved, and file mtime as the fallback
 // for artifacts never seen by either.
 //
 // Compact is safe to run concurrently with readers, including readers in
-// other processes: eviction is plain unlink, and an artifact opened or
-// mmap'd before its unlink stays fully readable through the held descriptor
-// or mapping (POSIX keeps the inode alive), while a reader that loses the
-// race sees a clean miss and recomputes. The surviving entries' access times
-// are rewritten to the sidecar index.
+// other processes: eviction is plain unlink, so an artifact opened before
+// its unlink stays readable through the held descriptor (POSIX keeps the
+// inode alive until it closes), while a reader that loses the race sees a
+// clean miss and recomputes. No read holds a file open past its decode, so
+// unlinked space is freed at once. The surviving entries' access times are
+// rewritten to the sidecar index.
 func (s *Store) Compact(budget int64) (CompactStats, error) {
-	if err := s.Flush(); err != nil {
-		return CompactStats{}, err
-	}
 	st := CompactStats{BudgetBytes: budget}
 	arts, staleTemps, err := s.scan()
 	if err != nil {
@@ -183,12 +178,8 @@ func (s *Store) Compact(budget int64) (CompactStats, error) {
 		}
 	}
 	var total int64
-	hasBin := make(map[string]bool)
 	for _, a := range arts {
 		total += a.size
-		if a.format == FormatBinary {
-			hasBin[string(a.kind)+"/"+string(a.key)] = true
-		}
 	}
 	st.BytesBefore = total
 	st.BytesAfter = total
@@ -203,37 +194,19 @@ func (s *Store) Compact(budget int64) (CompactStats, error) {
 		}
 		return a.mtime.Unix()
 	}
-	// Two eviction passes over one LRU order: JSON twins of binary
-	// artifacts first (pure disk savings, no recompute cost), then whole
-	// artifacts oldest-first.
 	sort.Slice(arts, func(i, j int) bool { return atime(arts[i]) < atime(arts[j]) })
-	evict := func(a artifact) {
+	for _, a := range arts {
+		if total <= budget {
+			break
+		}
 		if err := os.Remove(a.path); err != nil {
-			return
+			continue
 		}
 		total -= a.size
 		st.EvictedArtifacts++
 		st.EvictedBytes += a.size
 		s.evictedArtifacts.Add(1)
 		s.evictedBytes.Add(a.size)
-	}
-	for _, a := range arts {
-		if total <= budget {
-			break
-		}
-		if a.format == FormatJSON && hasBin[string(a.kind)+"/"+string(a.key)] {
-			evict(a)
-			st.EvictedJSONTwins++
-		}
-	}
-	for _, a := range arts {
-		if total <= budget {
-			break
-		}
-		if a.format == FormatJSON && hasBin[string(a.kind)+"/"+string(a.key)] {
-			continue // already evicted in the twin pass
-		}
-		evict(a)
 	}
 	st.BytesAfter = total
 	s.compactions.Add(1)

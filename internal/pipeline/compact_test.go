@@ -10,8 +10,9 @@ import (
 	"time"
 )
 
-// putBoth writes an artifact in both formats — the "JSON twin" shape Compact
-// evicts first — and returns the combined size.
+// putBoth writes an artifact under both extensions, as a cache written by
+// an older build may hold, and returns the combined size. Compact and
+// DiskStats count each file on its own.
 func putBoth(t *testing.T, s *Store, key Key, binSize, jsonSize int) int64 {
 	t.Helper()
 	if err := s.Put(StageProfile, key, bytes.Repeat([]byte{0xCB}, binSize), FormatBinary); err != nil {
@@ -67,47 +68,8 @@ func TestCompactUnderBudgetIsNoop(t *testing.T) {
 	}
 }
 
-// TestCompactEvictsJSONTwinsFirst: when dropping the JSON duplicates of
-// binary artifacts suffices, every binary artifact survives.
-func TestCompactEvictsJSONTwinsFirst(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []Key{testKey("twin-a"), testKey("twin-b"), testKey("twin-c")}
-	for _, k := range keys {
-		putBoth(t, s, k, 200, 100)
-	}
-	// 900 bytes total; budget 650 is reachable by shedding two 100-byte
-	// twins, so no binary artifact may be touched.
-	st, err := s.Compact(650)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EvictedJSONTwins < 2 || st.EvictedJSONTwins != st.EvictedArtifacts {
-		t.Fatalf("stats = %+v, want only JSON twins evicted", st)
-	}
-	if st.BytesAfter > 650 {
-		t.Fatalf("still over budget: %+v", st)
-	}
-	for _, k := range keys {
-		if _, err := os.Stat(s.Path(StageProfile, k, FormatBinary)); err != nil {
-			t.Errorf("binary artifact %s evicted while twins remained: %v", k, err)
-		}
-	}
-	// Warm reads for every key still hit (binary survived).
-	for _, k := range keys {
-		if _, f, ok, err := s.Get(StageProfile, k); err != nil || !ok || f != FormatBinary {
-			t.Errorf("post-compact read %s: ok=%v f=%v err=%v", k, ok, f, err)
-		}
-	}
-	if ev := s.Evictions(); ev.Compactions != 1 || ev.EvictedArtifacts != int64(st.EvictedArtifacts) {
-		t.Errorf("gauges = %+v", ev)
-	}
-}
-
-// TestCompactLRUOrder: past the twins, eviction is least-recently-used. With
-// no access record, file mtime carries the order.
+// TestCompactLRUOrder: eviction is least-recently-used. With no access
+// record, file mtime carries the order.
 func TestCompactLRUOrder(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -141,6 +103,9 @@ func TestCompactLRUOrder(t *testing.T) {
 			t.Errorf("stale artifact %s survived", k)
 		}
 	}
+	if ev := s.Evictions(); ev.Compactions != 1 || ev.EvictedArtifacts != 2 || ev.EvictedBytes != 200 {
+		t.Errorf("gauges = %+v", ev)
+	}
 }
 
 // TestCompactAtimeSidecarSurvivesRestart: an access recorded by one process
@@ -164,7 +129,7 @@ func TestCompactAtimeSidecarSurvivesRestart(t *testing.T) {
 		}
 	}
 	// Only hot is read; Close persists that access to the sidecar.
-	if _, _, ok, err := s.Get(StageProfile, hot); err != nil || !ok {
+	if _, _, ok, err := s.Get(StageProfile, hot, FormatBinary); err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 	if err := s.Close(); err != nil {
@@ -249,10 +214,10 @@ func TestCompactRemovesStaleTemps(t *testing.T) {
 }
 
 // TestCompactConcurrentWithReaders is the required race test: Compact runs
-// under a churn of concurrent Gets, mapped reads and re-Puts. Readers must
-// only ever see an intact artifact or a clean miss — never an error or torn
-// bytes — and the store must stay usable throughout. Run with -race this
-// also proves the atime table's locking.
+// under a churn of concurrent Gets, pooled-buffer reads and re-Puts. Readers
+// must only ever see an intact artifact or a clean miss — never an error or
+// torn bytes — and the store must stay usable throughout. Run with -race
+// this also proves the atime table's locking.
 func TestCompactConcurrentWithReaders(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -283,7 +248,7 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 				}
 				k := i % nKeys
 				if g%2 == 0 {
-					data, _, ok, err := s.Get(StageProfile, keys[k])
+					data, _, ok, err := s.Get(StageProfile, keys[k], FormatBinary)
 					if err != nil {
 						t.Errorf("Get during compact: %v", err)
 						return
@@ -299,17 +264,15 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 						}
 					}
 				} else {
-					m, _, ok, err := s.ReadMapped(StageProfile, keys[k])
+					data, _, ok, err := s.getAppend(s.acquireBuf(), StageProfile, keys[k], FormatBinary)
 					if err != nil {
-						t.Errorf("ReadMapped during compact: %v", err)
+						t.Errorf("pooled read during compact: %v", err)
 						return
 					}
-					if ok {
-						if !bytes.Equal(m.Bytes(), payloads[k]) {
-							t.Errorf("torn mapped read for key %d", k)
-						}
-						m.Release()
+					if ok && !bytes.Equal(data, payloads[k]) {
+						t.Errorf("torn pooled read for key %d", k)
 					}
+					s.releaseBuf(data)
 				}
 			}
 		}(g)
@@ -330,7 +293,7 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 		if err := s.Put(StageProfile, k, payloads[i], FormatBinary); err != nil {
 			t.Fatal(err)
 		}
-		data, _, ok, err := s.Get(StageProfile, k)
+		data, _, ok, err := s.Get(StageProfile, k, FormatBinary)
 		if err != nil || !ok || !bytes.Equal(data, payloads[i]) {
 			t.Fatalf("key %d unreadable after the storm: ok=%v err=%v", i, ok, err)
 		}

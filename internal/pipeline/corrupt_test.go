@@ -1,63 +1,77 @@
 package pipeline
 
 import (
+	"errors"
 	"os"
 	"testing"
 )
 
 // corruptBin is a frame with a valid header and a garbage payload: it passes
-// the store's format sniff and fails only in the stage decoder.
+// the frame check and fails only in the stage decoder.
 var corruptBin = append([]byte{'C', 'T', 'D', 'B', BinVersion, BinTagProfile}, 0xFF, 0xFF, 0xFF)
 
 // TestLoadArtifactDeletesCorruptBinary is the regression test for the warm
-// read path: a damaged binary artifact must not only fall back to the JSON
-// twin, it must be deleted so the next warm read stops paying a doomed
-// decode — through both the mapped and the copying read paths.
+// read path: a damaged binary artifact must be deleted on read, so the next
+// warm read stops paying a doomed decode, and recomputed to the same value a
+// fresh computation gives. A well-formed artifact of the previous frame
+// version (v2) is damage too: it fails at the header.
 func TestLoadArtifactDeletesCorruptBinary(t *testing.T) {
-	for _, mapped := range []bool{true, false} {
-		name := "copying"
-		if mapped {
-			name = "mapped"
-		}
-		t.Run(name, func(t *testing.T) {
+	st := binIntStage(StageSolve)
+	v2, err := st.Encode(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2[4] = 2
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"garbage payload", corruptBin},
+		{"v2 header", v2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			store, err := Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			store.SetMappedReads(mapped)
-			if mapped && !store.MappedReads() {
-				t.Skip("no mmap on this platform")
-			}
-			st := binIntStage(StageSolve)
-			key := testKey("corrupt-bin", name)
-			if err := store.Put(StageSolve, key, corruptBin, FormatBinary); err != nil {
+			key := testKey("corrupt-bin", tc.name)
+			if err := store.Put(StageSolve, key, tc.data, FormatBinary); err != nil {
 				t.Fatal(err)
 			}
-			if err := store.Put(StageSolve, key, []byte("7"), FormatJSON); err != nil {
-				t.Fatal(err)
+			path := store.Path(StageSolve, key, FormatBinary)
+
+			// A failing recompute writes nothing, so whatever is on disk
+			// afterwards is what the read left: nothing.
+			boom := errors.New("boom")
+			if _, err := Run(NewRunner(store), st, key, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the recompute error", err)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("damaged artifact still on disk after a failed read: %v", err)
 			}
 
-			r := NewRunner(store)
-			v, err := Run(r, st, key, func() (int, error) {
-				t.Error("recompute ran despite a valid JSON twin")
-				return -1, nil
-			})
+			if err := store.Put(StageSolve, key, tc.data, FormatBinary); err != nil {
+				t.Fatal(err)
+			}
+			computes := 0
+			v, err := Run(NewRunner(store), st, key, func() (int, error) { computes++; return 7, nil })
+			if err != nil || v != 7 || computes != 1 {
+				t.Fatalf("v=%d computes=%d err=%v", v, computes, err)
+			}
+			warm := NewRunner(store)
+			v, err = Run(warm, st, key, func() (int, error) { return -1, nil })
 			if err != nil || v != 7 {
-				t.Fatalf("v=%d err=%v, want the JSON fallback value", v, err)
+				t.Fatalf("warm v=%d err=%v, want the recomputed value", v, err)
 			}
-			if !r.Manifest().AllHits() {
-				t.Errorf("fallback read recorded a miss: %+v", r.Manifest().Records())
-			}
-			binPath := store.Path(StageSolve, key, FormatBinary)
-			if _, err := os.Stat(binPath); !os.IsNotExist(err) {
-				t.Error("corrupt binary artifact still on disk after fallback")
+			if !warm.Manifest().AllHits() {
+				t.Errorf("rewritten artifact missed: %+v", warm.Manifest().Records())
 			}
 		})
 	}
 }
 
-// TestLoadArtifactCorruptBinaryNoTwinRecomputes: with no JSON fallback the
-// damaged binary is a miss; the recompute overwrites it with a good one.
+// TestLoadArtifactCorruptBinaryNoTwinRecomputes: a damaged binary is a miss;
+// the recompute overwrites it with a good one.
 func TestLoadArtifactCorruptBinaryNoTwinRecomputes(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {
@@ -81,38 +95,5 @@ func TestLoadArtifactCorruptBinaryNoTwinRecomputes(t *testing.T) {
 	}
 	if !r2.Manifest().AllHits() {
 		t.Errorf("rewritten artifact missed: %+v", r2.Manifest().Records())
-	}
-}
-
-// TestRunnerMappedDiskWarm: the end-to-end mapped warm path — a fresh runner
-// with mapped reads decodes the artifact written by a cold run, zero-copy,
-// to the same value.
-func TestRunnerMappedDiskWarm(t *testing.T) {
-	dir := t.TempDir()
-	st := binIntStage(StageSolve)
-	key := testKey("mapped-warm")
-
-	cold, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(NewRunner(cold), st, key, func() (int, error) { return 31, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.MappedReads() && mmapSupported {
-		t.Fatal("mapped reads off by default")
-	}
-	r := NewRunner(warm)
-	v, err := Run(r, st, key, func() (int, error) { return -1, nil })
-	if err != nil || v != 31 {
-		t.Fatalf("mapped warm v=%d err=%v", v, err)
-	}
-	if !r.Manifest().AllHits() {
-		t.Errorf("mapped warm read missed: %+v", r.Manifest().Records())
 	}
 }

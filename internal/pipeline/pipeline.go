@@ -9,39 +9,20 @@ import (
 	"time"
 )
 
-// Stage describes one typed pipeline stage: its kind and the codec that
-// round-trips its artifact through the store. Encode must be deterministic —
-// encode(decode(encode(x))) == encode(x) — so content fingerprints are stable
-// across processes; every codec in this repository uses struct-ordered JSON,
-// which satisfies this.
+// Stage describes one typed pipeline stage: its kind and the one codec that
+// round-trips its artifact through the store. Format names the codec's
+// on-disk encoding: the large kinds (recordings, profiles, solve results)
+// are length-prefixed binary, the small report-like kinds JSON.
 //
-// Stages whose artifacts are large (recordings, profiles, solve results) may
-// additionally provide a binary codec. When the store prefers binary
-// (the default), such artifacts are written length-prefixed binary instead
-// of JSON; the JSON codec remains the versioned fallback, and the runner
-// reads both formats. EncodeBinary/DecodeBinary must round-trip to values
-// identical to the JSON codec's — asserted by parity property tests.
-//
-// Decode and DecodeBinary are handed buffers the runner may reuse for the
-// next read: they must not retain or alias their input past the call.
-// DecodeMapped is the one exception — see its comment.
+// Encode must be deterministic — encode(decode(encode(x))) == encode(x) —
+// so processes racing to write one key write identical bytes. Decode is handed a buffer the runner reuses for the next read: it must not
+// retain or alias its input past the call, and it must reject a damaged or
+// stale artifact with an error (the runner then deletes and recomputes it).
 type Stage[T any] struct {
 	Kind   Kind
+	Format Format
 	Encode func(T) ([]byte, error)
 	Decode func([]byte) (T, error)
-
-	// EncodeBinary/DecodeBinary, when non-nil, are the stage's binary codec.
-	EncodeBinary func(T) ([]byte, error)
-	DecodeBinary func([]byte) (T, error)
-
-	// DecodeMapped, when non-nil, is the stage's zero-copy binary decoder:
-	// the runner hands it an mmap'd page-cache-backed view of the artifact
-	// (never a pooled buffer) and the decoded value MAY alias it. The
-	// mapping then lives exactly as long as the decoded value — which the
-	// runner's slot cache retains for the process lifetime, so nothing is
-	// ever unmapped underneath a borrowed slice. Must decode to values
-	// byte-identical to DecodeBinary's (asserted by property tests).
-	DecodeMapped func([]byte) (T, error)
 }
 
 // slot is the in-memory singleflight cell for one (kind, key): concurrent
@@ -213,8 +194,8 @@ func resolve[T any](ctx context.Context, r *Runner, st Stage[T], key Key, comput
 			r.man.addDiskHit(st.Kind, key, path)
 			return v, nil
 		}
-		// No artifact, or every stored encoding was corrupt/stale: fall
-		// through to a recompute, which overwrites it.
+		// No artifact, or a corrupt/stale one (now deleted): fall through
+		// to a recompute, which rewrites it.
 	}
 
 	// Stage boundary: a request cancelled while queued behind the store
@@ -233,13 +214,9 @@ func resolve[T any](ctx context.Context, r *Runner, st Stage[T], key Key, comput
 		return zero, err
 	}
 	if r.store != nil {
-		format, encode := FormatJSON, st.Encode
-		if r.store.write == FormatBinary && st.EncodeBinary != nil {
-			format, encode = FormatBinary, st.EncodeBinary
-		}
-		if data, eerr := encode(v); eerr == nil {
-			artifact = r.store.Path(st.Kind, key, format)
-			if perr := r.store.Put(st.Kind, key, data, format); perr != nil {
+		if data, eerr := st.Encode(v); eerr == nil {
+			artifact = r.store.Path(st.Kind, key, st.Format)
+			if perr := r.store.Put(st.Kind, key, data, st.Format); perr != nil {
 				artifact = "" // computed fine, persisting failed; stay usable
 			}
 		}
@@ -248,81 +225,24 @@ func resolve[T any](ctx context.Context, r *Runner, st Stage[T], key Key, comput
 	return v, nil
 }
 
-// loadArtifact reads and decodes the stored artifact for (stage, key),
-// trying the preferred stored format first. Stages with a mapped decoder
-// read zero-copy through an mmap'd view when the store allows it; everything
-// else goes through a pooled buffer. A binary artifact that fails to decode
-// (truncated, corrupt, wrong version or tag) is deleted — it would otherwise
-// be retried and fail on every warm read — and the JSON artifact, when one
-// exists, serves as the fallback; when everything fails the caller treats
-// the key as a miss and recomputes. A damaged cache entry can cost work,
-// never correctness.
+// loadArtifact reads and decodes the stored artifact for (stage, key)
+// through a pooled buffer. An artifact that fails to decode (truncated,
+// corrupt, wrong version or tag) is deleted — it would otherwise be retried
+// and fail on every warm read — and the caller treats the key as a miss and
+// recomputes. A damaged cache entry can cost work, never correctness.
 func loadArtifact[T any](r *Runner, st Stage[T], key Key) (v T, path string, ok bool) {
-	if st.DecodeMapped != nil && r.store.MappedReads() {
-		if v, path, ok, handled := loadArtifactMapped(r, st, key); handled {
-			return v, path, ok
-		}
-		// The mapped binary was corrupt (and has been deleted): retry below
-		// against whatever remains, normally the JSON fallback.
-	}
 	buf := r.store.acquireBuf()
-	defer func() { r.store.releaseBuf(buf) }()
-	data, format, found, err := r.store.getAppend(buf, st.Kind, key)
-	buf = data // keep whatever capacity the read grew
+	data, path, found, err := r.store.getAppend(buf, st.Kind, key, st.Format)
+	defer func() { r.store.releaseBuf(data) }() // keep whatever capacity the read grew
 	if err != nil || !found {
 		return v, "", false
 	}
-	if format == FormatBinary {
-		if st.DecodeBinary != nil {
-			if dv, derr := st.DecodeBinary(data); derr == nil {
-				return dv, r.store.Path(st.Kind, key, FormatBinary), true
-			}
-			// Corrupt or stale-format binary: delete it so warm reads stop
-			// paying a doomed decode before every JSON fallback.
-			os.Remove(r.store.Path(st.Kind, key, FormatBinary))
-		}
-		jpath := r.store.Path(st.Kind, key, FormatJSON)
-		jdata, jfound, jerr := readAppend(buf, jpath)
-		buf = jdata
-		if jerr != nil || !jfound {
-			return v, "", false
-		}
-		data, format = jdata, FormatJSON
-		path = jpath
-	} else {
-		path = r.store.Path(st.Kind, key, FormatJSON)
+	v, err = st.Decode(data)
+	if err != nil {
+		os.Remove(path)
+		return v, "", false
 	}
-	if dv, derr := st.Decode(data); derr == nil {
-		return dv, path, true
-	}
-	return v, "", false
-}
-
-// loadArtifactMapped is loadArtifact's zero-copy front: the artifact is
-// mmap'd and decoded in place, and on success the mapping is deliberately
-// never released — the decoded value aliases it and lives in the runner's
-// slot cache for the process lifetime, backed by the page cache rather than
-// the heap. handled is false only when a corrupt mapped binary was deleted
-// and the caller should retry the copying path (for the JSON fallback).
-func loadArtifactMapped[T any](r *Runner, st Stage[T], key Key) (v T, path string, ok, handled bool) {
-	m, format, found, err := r.store.ReadMapped(st.Kind, key)
-	if err != nil || !found {
-		return v, "", false, true
-	}
-	if format == FormatBinary {
-		if dv, derr := st.DecodeMapped(m.Bytes()); derr == nil {
-			return dv, r.store.Path(st.Kind, key, FormatBinary), true, true
-		}
-		m.Release()
-		os.Remove(r.store.Path(st.Kind, key, FormatBinary))
-		return v, "", false, false
-	}
-	dv, derr := st.Decode(m.Bytes())
-	m.Release() // JSON decoders never alias their input
-	if derr == nil {
-		return dv, r.store.Path(st.Kind, key, FormatJSON), true, true
-	}
-	return v, "", false, true
+	return v, path, true
 }
 
 // Observe times an uncached stage (filter, formulate) and records it in the

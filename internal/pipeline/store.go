@@ -10,25 +10,18 @@ import (
 	"time"
 )
 
-// Format identifies the on-disk encoding of one artifact file.
+// Format identifies the on-disk encoding of one artifact kind. Each Stage
+// declares exactly one.
 type Format uint8
 
 const (
-	// FormatJSON is the original artifact encoding (<key>.json) — the
-	// versioned fallback every stage keeps. Stores always read it.
+	// FormatJSON is the encoding of the small report-like kinds
+	// (<key>.json).
 	FormatJSON Format = iota
-	// FormatBinary is the length-prefixed binary encoding (<key>.bin) used
-	// for the large artifact kinds when the stage provides a binary codec.
+	// FormatBinary is the length-prefixed binary encoding (<key>.bin) of the
+	// large kinds: recordings, profiles and solve results.
 	FormatBinary
 )
-
-// String returns the codec name as spelled by the -cache-codec flag.
-func (f Format) String() string {
-	if f == FormatBinary {
-		return "binary"
-	}
-	return "json"
-}
 
 // ext returns the artifact file extension for the format.
 func (f Format) ext() string {
@@ -38,35 +31,28 @@ func (f Format) ext() string {
 	return ".json"
 }
 
-// ParseFormat parses a -cache-codec flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "binary":
-		return FormatBinary, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return FormatJSON, fmt.Errorf("pipeline: unknown cache codec %q (want binary or json)", s)
-}
-
 // Store is a content-addressed on-disk artifact store. Artifacts live under
 //
-//	<dir>/<kind>/<key[:2]>/<key>.bin        (binary, preferred for large kinds)
-//	<dir>/<kind>/<key[:2]>/<key>.json       (JSON, the versioned fallback)
+//	<dir>/<kind>/<key[:2]>/<key>.<bin|json>
 //
 // sharded by the first key byte so directories stay small at production
-// scale. Writes are atomic (temp file + rename), so concurrent processes
-// sharing a cache directory never observe torn artifacts; a lost race simply
-// rewrites identical bytes.
+// scale; the extension is the kind's one Format.
+//
+// Durability rule: a Put writes a temp file in the shard directory and
+// renames it over the artifact, with no fsync. Concurrent processes sharing
+// a cache directory therefore never observe torn artifacts (a lost race
+// rewrites identical bytes), but a crash may lose or damage recent writes.
+// That costs work, never correctness: a damaged artifact fails framing or
+// decoding, is deleted and is recomputed, and a missing artifact is simply
+// recomputed.
 //
 // The store is allocation-lean on the warm path: shard directories are
 // created once and remembered (every later Put is one write + one rename,
-// no MkdirAll), and reads can go through pooled buffers (getAppend) so a
+// no MkdirAll), and reads go through pooled buffers (getAppend) so a
 // steady-state artifact load allocates nothing beyond what the decoder
 // keeps. A Store is safe for concurrent use.
 type Store struct {
-	dir   string
-	write Format // preferred write format for stages with a binary codec
+	dir string
 
 	// dirs remembers shard directories already created by this process, so
 	// Put calls os.MkdirAll once per (kind, key[:2]) instead of once per
@@ -77,18 +63,10 @@ type Store struct {
 	// of the pool itself does not allocate.
 	bufs sync.Pool
 
-	// mapped enables ReadMapped-backed zero-copy reads in the runner for
-	// stages with a mapped decoder. On by default where mmap exists.
-	mapped bool
-
 	// atimes records last-access seconds per artifact, the LRU signal
 	// Compact evicts by. Second granularity keeps the steady state to a
 	// read-locked map lookup; SaveAtimeIndex persists it to the sidecar.
 	atimes atimeTable
-
-	// batch, when enabled, coalesces Puts into per-shard directory-sync
-	// batches; nil means every Put writes through immediately.
-	batch *writeBatcher
 
 	// Eviction gauges, exported on /statsz: lifetime totals for this
 	// process's Compact calls.
@@ -97,38 +75,23 @@ type Store struct {
 	evictedBytes     atomic.Int64
 }
 
-// Open creates (if needed) and returns the store rooted at dir, writing
-// binary artifacts for stages that support them.
+// Open creates (if needed) and returns the store rooted at dir.
 func Open(dir string) (*Store, error) {
-	return OpenWithFormat(dir, FormatBinary)
-}
-
-// OpenWithFormat is Open with an explicit preferred write format. A
-// FormatJSON store still reads binary artifacts written earlier (and vice
-// versa); the format only selects what new artifacts are written as.
-func OpenWithFormat(dir string, write Format) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("pipeline: empty store directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pipeline: open store: %w", err)
 	}
-	return &Store{dir: dir, write: write, mapped: mmapSupported}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// WriteFormat returns the store's preferred write format.
-func (s *Store) WriteFormat() Format { return s.write }
-
-// SetMappedReads toggles the zero-copy mapped read mode the runner uses for
-// stages with a mapped decoder. It defaults to on where mmap exists; turning
-// it off forces every read through the copying pooled-buffer path.
-func (s *Store) SetMappedReads(on bool) { s.mapped = on && mmapSupported }
-
-// MappedReads reports whether mapped reads are enabled.
-func (s *Store) MappedReads() bool { return s.mapped }
+// Close persists the access-time sidecar index Compact evicts by. The store
+// remains usable afterwards.
+func (s *Store) Close() error { return s.SaveAtimeIndex() }
 
 // touch records an artifact access at second granularity — the LRU signal
 // Compact evicts by. The steady state (same artifact, same second) is a
@@ -171,28 +134,11 @@ func (s *Store) Path(kind Kind, key Key, f Format) string {
 	return filepath.Join(s.dir, string(kind), string(key[:2]), string(key)+f.ext())
 }
 
-// Get returns the artifact bytes, the format they were stored in, and
-// whether they were present. Binary artifacts are preferred when both
-// formats exist. The returned slice is freshly allocated and owned by the
-// caller; the runner's hot path uses getAppend with pooled buffers instead.
-func (s *Store) Get(kind Kind, key Key) ([]byte, Format, bool, error) {
-	if err := key.Validate(); err != nil {
-		return nil, FormatJSON, false, err
-	}
-	if data, f, ok := s.batch.getPending(kind, key); ok {
-		return append([]byte(nil), data...), f, true, nil
-	}
-	for _, f := range [...]Format{FormatBinary, FormatJSON} {
-		data, err := os.ReadFile(s.Path(kind, key, f))
-		if err == nil {
-			s.touch(kind, key)
-			return data, f, true, nil
-		}
-		if !os.IsNotExist(err) {
-			return nil, f, false, fmt.Errorf("pipeline: get %s/%s: %w", kind, key, err)
-		}
-	}
-	return nil, FormatJSON, false, nil
+// Get returns the artifact bytes, the artifact's path, and whether it was
+// present. The returned slice is freshly allocated and owned by the caller;
+// the runner's hot path uses getAppend with pooled buffers instead.
+func (s *Store) Get(kind Kind, key Key, f Format) ([]byte, string, bool, error) {
+	return s.getAppend(nil, kind, key, f)
 }
 
 // acquireBuf returns a pooled read buffer (length 0, whatever capacity it
@@ -211,30 +157,26 @@ func (s *Store) releaseBuf(buf []byte) {
 }
 
 // getAppend reads the artifact into buf (growing it as needed) and returns
-// the filled slice, its format, and whether it was present. One file-handle
-// allocation aside, a warm read whose buffer has already grown allocates
-// nothing.
-func (s *Store) getAppend(buf []byte, kind Kind, key Key) ([]byte, Format, bool, error) {
+// the filled slice, the artifact's path, and whether it was present. One
+// file-handle allocation aside, a warm read whose buffer has already grown
+// allocates nothing.
+func (s *Store) getAppend(buf []byte, kind Kind, key Key, f Format) ([]byte, string, bool, error) {
 	if err := key.Validate(); err != nil {
-		return buf, FormatJSON, false, err
+		return buf, "", false, err
 	}
-	if data, f, ok := s.batch.getPending(kind, key); ok {
-		return append(buf[:0], data...), f, true, nil
+	path := s.Path(kind, key, f)
+	data, ok, err := readAppend(buf, path)
+	if err != nil {
+		return buf, path, false, fmt.Errorf("pipeline: get %s/%s: %w", kind, key, err)
 	}
-	for _, f := range [...]Format{FormatBinary, FormatJSON} {
-		data, ok, err := readAppend(buf, s.Path(kind, key, f))
-		if err != nil {
-			return buf, f, false, fmt.Errorf("pipeline: get %s/%s: %w", kind, key, err)
-		}
-		if ok {
-			s.touch(kind, key)
-			return data, f, true, nil
-		}
+	if ok {
+		s.touch(kind, key)
 	}
-	return buf, FormatJSON, false, nil
+	return data, path, ok, nil
 }
 
-// readAppend reads path into buf, reusing its capacity.
+// readAppend reads path into buf, reusing its capacity. The buffer is sized
+// one byte past the file, so the read that sees EOF needs no regrowth.
 func readAppend(buf []byte, path string) ([]byte, bool, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -245,7 +187,7 @@ func readAppend(buf []byte, path string) ([]byte, bool, error) {
 	}
 	defer f.Close()
 	if st, err := f.Stat(); err == nil {
-		if need := int(st.Size()); cap(buf) < need {
+		if need := int(st.Size()) + 1; cap(buf) < need {
 			buf = make([]byte, 0, need)
 		}
 	}
@@ -282,26 +224,14 @@ func (s *Store) shardDir(kind Kind, key Key) (string, error) {
 	return dir, nil
 }
 
-// Put writes the artifact in the given format. With write batching enabled
-// the bytes are retained and flushed with the next per-shard batch (bounded
-// by the batcher's deadline; Get-type reads see pending artifacts
-// immediately); otherwise the write happens now. Either way the on-disk
-// write is atomic: temp file + rename, so concurrent processes sharing a
-// cache directory never observe torn artifacts.
+// Put writes the artifact in the given format, atomically: temp file plus
+// rename (see Store for the durability rule). The shard directory is created
+// on the process's first write to it and remembered, so steady-state Puts
+// are one temp-file write plus one rename.
 func (s *Store) Put(kind Kind, key Key, data []byte, f Format) error {
 	if err := key.Validate(); err != nil {
 		return err
 	}
-	if b := s.batch; b != nil {
-		return b.put(kind, key, data, f)
-	}
-	return s.putNow(kind, key, data, f)
-}
-
-// putNow writes the artifact atomically in the given format. The shard
-// directory is created on the process's first write to it and remembered, so
-// steady-state Puts are one temp-file write plus one rename.
-func (s *Store) putNow(kind Kind, key Key, data []byte, f Format) error {
 	dir, err := s.shardDir(kind, key)
 	if err != nil {
 		return fmt.Errorf("pipeline: put %s/%s: %w", kind, key, err)

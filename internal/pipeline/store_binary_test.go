@@ -1,47 +1,40 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
 )
 
-// binIntStage is a stage with both codecs plus a mapped decoder, for store
-// format-routing tests. The binary layout is a single varint under the
-// profile tag.
+// binIntStage is a binary-format stage for store tests. The binary layout is
+// a single varint under the profile tag.
 func binIntStage(kind Kind) Stage[int] {
-	st := intStage(kind)
-	decode := func(r *BinReader, err error) (int, error) {
-		if err != nil {
-			return 0, err
-		}
-		v := r.Int()
-		if err := r.Done(); err != nil {
-			return 0, err
-		}
-		return v, nil
+	return Stage[int]{
+		Kind:   kind,
+		Format: FormatBinary,
+		Encode: func(v int) ([]byte, error) {
+			w := NewBinWriter(BinTagProfile, 16)
+			w.Varint(int64(v))
+			return w.Bytes(), nil
+		},
+		Decode: func(data []byte) (int, error) {
+			r, err := NewBinReader(data, BinTagProfile)
+			if err != nil {
+				return 0, err
+			}
+			v := r.Int()
+			if err := r.Done(); err != nil {
+				return 0, err
+			}
+			return v, nil
+		},
 	}
-	st.EncodeBinary = func(v int) ([]byte, error) {
-		w := NewBinWriter(BinTagProfile, 16)
-		w.Varint(int64(v))
-		return w.Bytes(), nil
-	}
-	st.DecodeBinary = func(data []byte) (int, error) {
-		r, err := NewBinReader(data, BinTagProfile)
-		return decode(r, err)
-	}
-	st.DecodeMapped = func(data []byte) (int, error) {
-		r, err := NewBinReaderBorrow(data, BinTagProfile)
-		return decode(r, err)
-	}
-	return st
 }
 
 // TestStoreWritesBinaryForCapableStages pins the format routing: a binary
-// store writes .bin for stages with a binary codec, a fresh runner warm-reads
-// it, and no .json twin is written.
+// stage's artifact is written as .bin, a fresh runner warm-reads it, and no
+// .json twin is written.
 func TestStoreWritesBinaryForCapableStages(t *testing.T) {
 	dir := t.TempDir()
 	st := binIntStage(StageProfile)
@@ -50,9 +43,6 @@ func TestStoreWritesBinaryForCapableStages(t *testing.T) {
 	store, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if store.WriteFormat() != FormatBinary {
-		t.Fatalf("default write format = %v, want binary", store.WriteFormat())
 	}
 	if _, err := Run(NewRunner(store), st, key, func() (int, error) { return 99, nil }); err != nil {
 		t.Fatal(err)
@@ -79,42 +69,9 @@ func TestStoreWritesBinaryForCapableStages(t *testing.T) {
 	}
 }
 
-// TestRunnerReadsLegacyJSONArtifact is the fallback direction: an artifact
-// written by a JSON-format store (or an older build) must be a disk hit for a
-// binary-preferring store, not a recompute.
-func TestRunnerReadsLegacyJSONArtifact(t *testing.T) {
-	dir := t.TempDir()
-	st := binIntStage(StageProfile)
-	key := testKey("legacy-json")
-
-	jsonStore, err := OpenWithFormat(dir, FormatJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(NewRunner(jsonStore), st, key, func() (int, error) { return 17, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(jsonStore.Path(StageProfile, key, FormatJSON)); err != nil {
-		t.Fatalf("JSON artifact missing: %v", err)
-	}
-
-	binStore, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewRunner(binStore)
-	v, err := Run(warm, st, key, func() (int, error) { t.Fatal("recompute despite JSON artifact"); return 0, nil })
-	if err != nil || v != 17 {
-		t.Fatalf("fallback read = %d, %v", v, err)
-	}
-	if !warm.Manifest().AllHits() {
-		t.Error("fallback read not recorded as a hit")
-	}
-}
-
 // TestRunnerCorruptBinaryArtifact pins the damage policy: a truncated or
 // corrupt binary artifact is a cache miss (recompute, overwrite), never an
-// error — unless a valid JSON fallback exists, in which case it is a hit.
+// error.
 func TestRunnerCorruptBinaryArtifact(t *testing.T) {
 	st := binIntStage(StageProfile)
 
@@ -124,7 +81,7 @@ func TestRunnerCorruptBinaryArtifact(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := testKey("corrupt-bin")
-		valid, err := st.EncodeBinary(123)
+		valid, err := st.Encode(123)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,41 +100,16 @@ func TestRunnerCorruptBinaryArtifact(t *testing.T) {
 				t.Fatalf("case %d: v=%d computes=%d err=%v", i, v, computes, err)
 			}
 			// The recompute overwrote the damaged artifact.
-			data, format, ok, err := store.Get(StageProfile, key)
-			if err != nil || !ok || format != FormatBinary {
-				t.Fatalf("case %d: artifact after recompute ok=%v format=%v err=%v", i, ok, format, err)
+			data, _, ok, err := store.Get(StageProfile, key, FormatBinary)
+			if err != nil || !ok {
+				t.Fatalf("case %d: artifact after recompute ok=%v err=%v", i, ok, err)
 			}
-			if got, err := st.DecodeBinary(data); err != nil || got != 55 {
+			if got, err := st.Decode(data); err != nil || got != 55 {
 				t.Fatalf("case %d: rewritten artifact decodes to %d, %v", i, got, err)
 			}
 		}
 	})
 
-	t.Run("json fallback hits", func(t *testing.T) {
-		store, err := Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := testKey("corrupt-bin-with-json")
-		if err := store.Put(StageProfile, key, []byte("CTDB truncated"), FormatBinary); err != nil {
-			t.Fatal(err)
-		}
-		jdata, err := json.Marshal(31)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(StageProfile, key, jdata, FormatJSON); err != nil {
-			t.Fatal(err)
-		}
-		warm := NewRunner(store)
-		v, err := Run(warm, st, key, func() (int, error) { t.Fatal("recompute despite JSON fallback"); return 0, nil })
-		if err != nil || v != 31 {
-			t.Fatalf("fallback = %d, %v", v, err)
-		}
-		if !warm.Manifest().AllHits() {
-			t.Error("fallback read not recorded as a hit")
-		}
-	})
 }
 
 // TestStoreConcurrentPuts hammers one store from many goroutines — same
@@ -209,7 +141,7 @@ func TestStoreConcurrentPuts(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if data, _, ok, err := store.Get(StageRecording, shared); err != nil || !ok || string(data) != "shared-bytes" {
+				if data, _, ok, err := store.Get(StageRecording, shared, FormatBinary); err != nil || !ok || string(data) != "shared-bytes" {
 					t.Errorf("torn shared read: %q ok=%v err=%v", data, ok, err)
 					return
 				}
@@ -219,7 +151,7 @@ func TestStoreConcurrentPuts(t *testing.T) {
 	wg.Wait()
 	for w := 0; w < writers; w++ {
 		key := testKey("concurrent", fmt.Sprint(w))
-		data, _, ok, err := store.Get(StageRecording, key)
+		data, _, ok, err := store.Get(StageRecording, key, FormatBinary)
 		if err != nil || !ok || string(data) != fmt.Sprintf("artifact-%02d", w) {
 			t.Fatalf("writer %d: %q ok=%v err=%v", w, data, ok, err)
 		}
@@ -240,7 +172,7 @@ func TestStoreShardDirCaching(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	data, _, ok, err := store.Get(StageSolve, key)
+	data, _, ok, err := store.Get(StageSolve, key, FormatJSON)
 	if err != nil || !ok || string(data) != "2" {
 		t.Fatalf("after rewrites: %q ok=%v err=%v", data, ok, err)
 	}

@@ -4,18 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"ctdvs/internal/cfg"
-	"ctdvs/internal/ir"
 	"ctdvs/internal/pipeline"
-	"ctdvs/internal/sim"
-	"ctdvs/internal/volt"
 )
 
-// fileJSON is the artifact layout for a cached profile. The program, input and
-// graph are NOT serialized — they are re-derived from the workload spec on
-// load, which both keeps artifacts small and guarantees the graph matches the
-// program the caller is about to optimize. Struct field order is fixed, so
-// Encode is deterministic and encode(decode(encode(x))) == encode(x).
+// fileJSON is the canonical JSON rendering of a profile's measurement data,
+// the input of Fingerprint. The program, input and graph are NOT serialized —
+// only their names and dimensions, which pin the workload. Struct field order
+// is fixed, so Encode is deterministic. The store keeps profiles in the
+// binary codec (codec_binary.go); this encoding only feeds solve keys, so
+// changing it changes every key downstream of a profile.
 type fileJSON struct {
 	Version int        `json:"version"`
 	Program string     `json:"program"`
@@ -51,7 +48,7 @@ type paramsJSON struct {
 
 const codecVersion = 1
 
-// Encode renders the profile's measurement data as a deterministic artifact.
+// Encode renders the profile's measurement data as deterministic JSON.
 func Encode(pr *Profile) ([]byte, error) {
 	if pr == nil || pr.Graph == nil || pr.Modes == nil {
 		return nil, fmt.Errorf("profile: encode nil profile")
@@ -84,71 +81,6 @@ func Encode(pr *Profile) ([]byte, error) {
 		f.Modes = append(f.Modes, modeJSON{Volts: m.V, MHz: m.F})
 	}
 	return json.Marshal(f)
-}
-
-// Decode reconstructs a profile from an artifact for the given workload. The
-// program, input and mode set come from the caller (the workload spec), and
-// the artifact must agree with them — a mismatch means the key logic failed,
-// and Decode reports it rather than returning a profile for the wrong
-// workload.
-func Decode(data []byte, p *ir.Program, in ir.Input, modes *volt.ModeSet) (*Profile, error) {
-	var f fileJSON
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("profile: decode: %w", err)
-	}
-	if f.Version != codecVersion {
-		return nil, fmt.Errorf("profile: artifact version %d, want %d", f.Version, codecVersion)
-	}
-	if f.Program != p.Name || f.Input != in.Name {
-		return nil, fmt.Errorf("profile: artifact is for %s/%s, want %s/%s", f.Program, f.Input, p.Name, in.Name)
-	}
-	if len(f.Modes) != modes.Len() {
-		return nil, fmt.Errorf("profile: artifact has %d modes, want %d", len(f.Modes), modes.Len())
-	}
-	for i, m := range modes.Modes() {
-		if f.Modes[i].Volts != m.V || f.Modes[i].MHz != m.F {
-			return nil, fmt.Errorf("profile: artifact mode %d is (%gV, %gMHz), want (%gV, %gMHz)",
-				i, f.Modes[i].Volts, f.Modes[i].MHz, m.V, m.F)
-		}
-	}
-	g, err := cfg.FromProgram(p)
-	if err != nil {
-		return nil, fmt.Errorf("profile: decode: %w", err)
-	}
-	if f.NBlocks != g.NumBlocks || f.NEdges != g.NumEdges() || f.NPaths != len(g.Paths) {
-		return nil, fmt.Errorf("profile: artifact graph dims (%d blocks, %d edges, %d paths) do not match program (%d, %d, %d)",
-			f.NBlocks, f.NEdges, f.NPaths, g.NumBlocks, g.NumEdges(), len(g.Paths))
-	}
-	nm := modes.Len()
-	if len(f.TimeUS) != g.NumBlocks || len(f.EnergyUJ) != g.NumBlocks ||
-		len(f.Invocations) != g.NumBlocks || len(f.EdgeCounts) != g.NumEdges() ||
-		len(f.PathCounts) != len(g.Paths) || len(f.TotalTimeUS) != nm || len(f.TotalEnergyUJ) != nm {
-		return nil, fmt.Errorf("profile: artifact arrays do not match graph dimensions")
-	}
-	for j := 0; j < g.NumBlocks; j++ {
-		if len(f.TimeUS[j]) != nm || len(f.EnergyUJ[j]) != nm {
-			return nil, fmt.Errorf("profile: artifact block %d has %d modes, want %d", j, len(f.TimeUS[j]), nm)
-		}
-	}
-	return &Profile{
-		Program:       p,
-		Input:         in,
-		Graph:         g,
-		Modes:         modes,
-		TimeUS:        f.TimeUS,
-		EnergyUJ:      f.EnergyUJ,
-		Invocations:   f.Invocations,
-		EdgeCounts:    f.EdgeCounts,
-		PathCounts:    f.PathCounts,
-		TotalTimeUS:   f.TotalTimeUS,
-		TotalEnergyUJ: f.TotalEnergyUJ,
-		Params: sim.Params{
-			NCache:       f.Params.NCache,
-			NOverlap:     f.Params.NOverlap,
-			NDependent:   f.Params.NDependent,
-			TInvariantUS: f.Params.TInvariantUS,
-		},
-	}, nil
 }
 
 // Fingerprint returns the content digest of the profile's measurement data,

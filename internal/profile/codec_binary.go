@@ -14,8 +14,8 @@ import (
 // time/energy matrices — is written as two raw IEEE-754 runs over a single
 // backing array, so a warm decode performs a handful of exact-size
 // allocations instead of one per block row plus one per JSON number.
-// Fingerprint stays on the JSON encoding (codec.go), so solve keys are
-// unchanged by the store's write format.
+// Binary is the profile's only store codec; Fingerprint hashes the JSON
+// encoding (codec.go), which keys downstream solves and is never stored.
 
 // EncodeBinary renders the profile in the binary artifact format.
 func EncodeBinary(pr *Profile) ([]byte, error) {
@@ -38,9 +38,6 @@ func EncodeBinary(pr *Profile) ([]byte, error) {
 	w.Varint(int64(pr.Graph.NumEdges()))
 	w.Varint(int64(len(pr.Graph.Paths)))
 
-	// The raw float runs are 8-byte aligned (and stay aligned across
-	// consecutive rows), so borrow-mode decodes can alias them in place.
-	w.Pad8()
 	for _, row := range pr.TimeUS {
 		w.FloatsRaw(row)
 	}
@@ -50,7 +47,6 @@ func EncodeBinary(pr *Profile) ([]byte, error) {
 	w.Int64s(pr.Invocations)
 	w.Int64s(pr.EdgeCounts)
 	w.Int64s(pr.PathCounts)
-	w.Pad8()
 	w.FloatsRaw(pr.TotalTimeUS)
 	w.FloatsRaw(pr.TotalEnergyUJ)
 
@@ -61,33 +57,17 @@ func EncodeBinary(pr *Profile) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// DecodeBinary reconstructs a profile from a binary artifact, applying the
-// same workload-agreement checks as Decode. The time/energy matrices share
-// one backing array per matrix; the input slice is never retained.
+// DecodeBinary reconstructs a profile from a binary artifact for the given
+// workload. The program, input and mode set come from the caller (the
+// workload spec), and the artifact must agree with them — a mismatch means
+// the key logic failed, and DecodeBinary reports it rather than returning a
+// profile for the wrong workload. The time/energy matrices share one backing
+// array per matrix; the input slice is never retained.
 func DecodeBinary(data []byte, p *ir.Program, in ir.Input, modes *volt.ModeSet) (*Profile, error) {
 	r, err := pipeline.NewBinReader(data, pipeline.BinTagProfile)
 	if err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
-	return decodeBinary(r, p, in, modes)
-}
-
-// DecodeBinaryMapped is DecodeBinary in borrow mode: the float runs backing
-// the time/energy matrices and totals alias data wherever alignment allows
-// instead of being copied, so an mmap'd profile is consumed straight out of
-// the page cache. The decoded value is byte-identical to DecodeBinary's
-// (misaligned or big-endian hosts silently fall back to copying). The caller
-// owns the lifetime: data must stay valid for as long as the profile is in
-// use (see pipeline.Mapping).
-func DecodeBinaryMapped(data []byte, p *ir.Program, in ir.Input, modes *volt.ModeSet) (*Profile, error) {
-	r, err := pipeline.NewBinReaderBorrow(data, pipeline.BinTagProfile)
-	if err != nil {
-		return nil, fmt.Errorf("profile: decode: %w", err)
-	}
-	return decodeBinary(r, p, in, modes)
-}
-
-func decodeBinary(r *pipeline.BinReader, p *ir.Program, in ir.Input, modes *volt.ModeSet) (*Profile, error) {
 	if v := r.Uvarint(); r.Err() == nil && v != codecVersion {
 		return nil, fmt.Errorf("profile: artifact version %d, want %d", v, codecVersion)
 	}
@@ -125,15 +105,16 @@ func decodeBinary(r *pipeline.BinReader, p *ir.Program, in ir.Input, modes *volt
 	}
 	nm := nModes
 	// The matrix dimensions are validated above, so the float runs carry no
-	// length prefixes; FloatsBorrow still bounds each run against the input.
-	// Each matrix is one contiguous run over a single backing array — copied
-	// in plain mode, aliased out of the mapping in borrow mode.
+	// length prefixes; bounding them against the input before allocating
+	// keeps a truncated artifact from claiming a huge matrix. Each matrix is
+	// one contiguous run over a single backing array.
 	if r.Remaining() < 16*nBlocks*nm {
 		return nil, fmt.Errorf("profile: artifact matrices truncated")
 	}
-	r.Pad8()
-	timeBack := r.FloatsBorrow(nBlocks * nm)
-	energyBack := r.FloatsBorrow(nBlocks * nm)
+	timeBack := make([]float64, nBlocks*nm)
+	energyBack := make([]float64, nBlocks*nm)
+	r.FloatsInto(timeBack)
+	r.FloatsInto(energyBack)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
@@ -146,9 +127,10 @@ func decodeBinary(r *pipeline.BinReader, p *ir.Program, in ir.Input, modes *volt
 	invocations := r.Int64s()
 	edgeCounts := r.Int64s()
 	pathCounts := r.Int64s()
-	r.Pad8()
-	totalTime := r.FloatsBorrow(nm)
-	totalEnergy := r.FloatsBorrow(nm)
+	totalTime := make([]float64, nm)
+	totalEnergy := make([]float64, nm)
+	r.FloatsInto(totalTime)
+	r.FloatsInto(totalEnergy)
 	params := sim.Params{
 		NCache:       r.Varint(),
 		NOverlap:     r.Varint(),

@@ -2,44 +2,50 @@ package profile
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
-// FuzzDecode throws arbitrary bytes at the profile decoder and holds it to
-// the same contract as the other artifact codecs: errors for garbage, no
-// panics, and deterministic re-encoding of anything accepted.
-func FuzzDecode(f *testing.F) {
+// FuzzDecodeBinary throws arbitrary bytes at the binary profile decoder, the
+// one the warm read path trusts, and holds it to the same contract as the
+// other artifact codecs: errors for garbage, no panics, no allocation from
+// unchecked lengths, and deterministic re-encoding of anything accepted.
+func FuzzDecodeBinary(f *testing.F) {
 	pr := collect(f)
-	valid, err := Encode(pr)
+	valid, err := EncodeBinary(pr)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(string(valid))
-	f.Add(strings.Replace(string(valid), `"version":`, `"version":9`, 1))
-	f.Add(strings.Replace(string(valid), `"program":"branchy"`, `"program":"other"`, 1))
-	f.Add(`{}`)
-	f.Add(`{"version":1}`)
-	f.Add(`not json`)
-	f.Add(`[]`)
+	f.Add(valid)
+	// Targeted corruptions: bad magic, legacy and future versions, wrong
+	// tag, a huge claimed mode count, a flipped byte inside the matrices,
+	// and cuts inside the matrices and the params tail.
+	f.Add([]byte{})
+	f.Add([]byte("CTDB"))
+	f.Add([]byte("CTDB\x02\x02")) // version 2: padded layout, must re-miss
+	f.Add([]byte("CTDB\x04\x02")) // future version
+	f.Add([]byte("CTDB\x03\x01")) // wrong tag
+	f.Add(append([]byte("CTDB\x03\x02\x01\x07branchy\x02in"), 0xfe, 0xff, 0xff, 0xff, 0x0f))
+	flipped := append([]byte{}, valid...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+	f.Add(append([]byte{}, valid[:len(valid)/2]...))
+	f.Add(append([]byte{}, valid[:len(valid)-3]...))
 
-	f.Fuzz(func(t *testing.T, data string) {
-		got, err := Decode([]byte(data), pr.Program, pr.Input, pr.Modes)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeBinary(data, pr.Program, pr.Input, pr.Modes)
 		if err != nil {
-			return
+			return // rejection is the expected outcome for garbage
 		}
-		enc, err := Encode(got)
+		enc, err := EncodeBinary(got)
 		if err != nil {
 			t.Fatalf("accepted profile failed to encode: %v", err)
 		}
-		got2, err := Decode(enc, pr.Program, pr.Input, pr.Modes)
+		got2, err := DecodeBinary(enc, pr.Program, pr.Input, pr.Modes)
 		if err != nil {
 			t.Fatalf("re-decode of accepted profile failed: %v", err)
 		}
-		if !reflect.DeepEqual(got.TimeUS, got2.TimeUS) ||
-			!reflect.DeepEqual(got.EnergyUJ, got2.EnergyUJ) ||
-			!reflect.DeepEqual(got.EdgeCounts, got2.EdgeCounts) {
-			t.Fatal("encode/decode round trip changed the profile")
+		if !reflect.DeepEqual(got, got2) {
+			t.Fatal("binary encode/decode round trip changed the profile")
 		}
 	})
 }

@@ -8,15 +8,17 @@ import (
 	"ctdvs/internal/sim"
 )
 
-// Binary recording codec. The layout mirrors recordingJSON field for field —
-// the property tests assert DecodeRecordingBinary(EncodeRecordingBinary(rec))
-// equals DecodeRecording(EncodeRecording(rec)) — but skips base64 and JSON
-// tokenization: the block trace and the outcome bitstreams are 8-byte-aligned
-// runs of raw little-endian words, which lets the borrow-mode decoder
-// (DecodeRecordingBinaryMapped) alias them straight out of an mmap'd artifact
-// with no copy at all. Every claimed length is bounded against the remaining
-// input before allocation (see pipeline.BinReader), so a truncated or hostile
-// artifact is rejected without a giant make().
+// RecordingVersion identifies the recording artifact layout.
+const RecordingVersion = 1
+
+// Recording codec: the store artifact of the pipeline's record stage, the
+// mode-invariant event stream one instrumented run captures and from which
+// the profile at any mode set is replayed. The block trace and the outcome
+// bitstreams are runs of raw little-endian words. Like the profile codec,
+// the program is not serialized: it is re-derived from the workload spec on
+// load and the artifact must agree with it. Every claimed length is bounded
+// against the remaining input before allocation (see pipeline.BinReader), so
+// a truncated or hostile artifact is rejected without a giant make().
 
 func putMachine(w *pipeline.BinWriter, c sim.Config) {
 	for _, cache := range [...]sim.CacheConfig{c.L1, c.L2} {
@@ -91,33 +93,17 @@ func EncodeRecordingBinary(rec *sim.Recording) ([]byte, error) {
 }
 
 // DecodeRecordingBinary reconstructs a bound, replay-ready recording from a
-// binary artifact, applying the same program/input/machine agreement checks
-// as DecodeRecording. It never retains the input slice.
+// binary artifact. The program, input and machine configuration come from
+// the caller (the workload spec and experiment config) and the artifact must
+// agree with all three — a recording replayed against a different program
+// or machine would produce confidently wrong numbers, so any mismatch is an
+// error. The decoded stream is re-validated against the program by sim's
+// Bind. It never retains the input slice.
 func DecodeRecordingBinary(data []byte, p *ir.Program, in ir.Input, mc sim.Config) (*sim.Recording, error) {
 	r, err := pipeline.NewBinReader(data, pipeline.BinTagRecording)
 	if err != nil {
 		return nil, fmt.Errorf("schedfile: decode recording: %w", err)
 	}
-	return decodeRecordingBinary(r, p, in, mc)
-}
-
-// DecodeRecordingBinaryMapped is DecodeRecordingBinary in borrow mode: the
-// returned recording's large arrays — the block trace and the packed
-// cache/branch outcome words — alias data wherever alignment allows instead
-// of being copied, so an mmap'd artifact replays straight out of the page
-// cache. The decoded value is byte-identical to DecodeRecordingBinary's
-// (misaligned or big-endian hosts silently fall back to copying). The caller
-// owns the lifetime: data must stay valid for as long as the recording is in
-// use (see pipeline.Mapping).
-func DecodeRecordingBinaryMapped(data []byte, p *ir.Program, in ir.Input, mc sim.Config) (*sim.Recording, error) {
-	r, err := pipeline.NewBinReaderBorrow(data, pipeline.BinTagRecording)
-	if err != nil {
-		return nil, fmt.Errorf("schedfile: decode recording: %w", err)
-	}
-	return decodeRecordingBinary(r, p, in, mc)
-}
-
-func decodeRecordingBinary(r *pipeline.BinReader, p *ir.Program, in ir.Input, mc sim.Config) (*sim.Recording, error) {
 	if v := r.Uvarint(); r.Err() == nil && v != RecordingVersion {
 		return nil, fmt.Errorf("schedfile: recording artifact version %d, want %d", v, RecordingVersion)
 	}
@@ -152,8 +138,9 @@ func decodeRecordingBinary(r *pipeline.BinReader, p *ir.Program, in ir.Input, mc
 	if program != p.Name || input != in.Name {
 		return nil, fmt.Errorf("schedfile: recording artifact is for %s/%s, want %s/%s", program, input, p.Name, in.Name)
 	}
-	// As in DecodeRecording, ReferenceSim is not part of a recording's
-	// identity: the artifact never stores it and the check ignores it.
+	// ReferenceSim only selects which of two bit-identical kernels
+	// simulates; it is not part of a recording's identity, so the artifact
+	// never stores it and the machine check ignores it.
 	want := mc
 	want.ReferenceSim = false
 	if machine != want {
@@ -184,4 +171,14 @@ func decodeRecordingBinary(r *pipeline.BinReader, p *ir.Program, in ir.Input, mc
 		return nil, fmt.Errorf("schedfile: recording artifact rejected: %w", err)
 	}
 	return rec, nil
+}
+
+// emptyNotNil normalizes an empty decoded count slice to a non-nil one, so
+// decoded recordings replay to Results structurally identical to freshly
+// simulated ones.
+func emptyNotNil(s []int64) []int64 {
+	if s == nil {
+		return []int64{}
+	}
+	return s
 }

@@ -680,7 +680,6 @@ func (s *Server) Stats() *Stats {
 	if s.cfg.Pipeline != nil {
 		st.Cache = s.cfg.Pipeline.Manifest().Stats()
 		if store := s.cfg.Pipeline.Store(); store != nil {
-			st.CacheCodec = store.WriteFormat().String()
 			ss := &StoreStats{
 				Dir:         store.Dir(),
 				BudgetBytes: s.opts.StoreBudgetBytes,

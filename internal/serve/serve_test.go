@@ -459,14 +459,15 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if st.Workers != 3 || st.QueueDepth != 5 || st.Draining {
 		t.Errorf("statsz = %+v", st)
 	}
-	if st.CacheCodec != "" {
-		t.Errorf("memory-only server reports cache codec %q", st.CacheCodec)
+	if st.Store != nil {
+		t.Errorf("memory-only server reports a store: %+v", st.Store)
 	}
 
-	// A disk-backed server surfaces its store's write format.
-	s, _ := newTestServer(t, t.TempDir(), Options{Workers: 1, QueueDepth: 1})
-	if got := s.Stats().CacheCodec; got != "binary" {
-		t.Errorf("disk-backed cache codec = %q, want binary", got)
+	// A disk-backed server surfaces its store's gauges.
+	dir := t.TempDir()
+	s, _ := newTestServer(t, dir, Options{Workers: 1, QueueDepth: 1})
+	if got := s.Stats().Store; got == nil || got.Dir != dir {
+		t.Errorf("disk-backed store gauges = %+v, want dir %s", got, dir)
 	}
 }
 
