@@ -25,13 +25,15 @@ vet:
 # serial MILP (warm vs cold inline), parallel MILP, the analytic dual bound
 # (branch-and-bound nodes with the Li–Yao–Yuan bound on vs off), the
 # artifact-store replay, recorded-vs-per-mode profile collection, the
-# compiled simulator kernel vs the reference interpreter, the optimization
-# server under concurrent load (cold store vs warm), the multi-core
-# task-graph solve with serial-vs-parallel schedule execution, and the
+# optimization server under concurrent load (cold store vs warm), the
+# multi-core task-graph solve with serial-vs-parallel schedule execution, the
 # sharded-store scenario matrix (warm binary reads, pooled replay
-# allocations, put cost). bench-all runs everything.
+# allocations), and — from internal/sim, where the reference interpreter
+# lives as test code — the compiled simulator kernel vs that interpreter.
+# bench-all runs everything.
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkSimCompiledKernel|BenchmarkServeLatency|BenchmarkServeThroughput|BenchmarkTaskGraphSolve|BenchmarkStoreScenarioMatrix)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput|BenchmarkTaskGraphSolve|BenchmarkStoreScenarioMatrix)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkSimCompiledKernel$$' -benchmem ./internal/sim
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...

@@ -16,7 +16,6 @@ import (
 
 	"ctdvs/internal/exp"
 	"ctdvs/internal/pipeline"
-	"ctdvs/internal/sim"
 )
 
 // App carries the shared command state: parsed common flags and the pipeline
@@ -33,18 +32,6 @@ type App struct {
 	CacheDir string
 	NoCache  bool
 	Manifest string
-
-	// PerModeProfile disables the record-once/replay-per-mode profiling path
-	// and simulates every mode of every profile instead. The numbers are
-	// bit-identical either way; the flag exists for cross-checking and for
-	// memory-constrained runs.
-	PerModeProfile bool
-
-	// ReferenceSim runs simulations on the original instruction-walking
-	// interpreter instead of the compiled-table kernel. Bit-identical either
-	// way (and cache-compatible: artifact keys ignore the setting); the flag
-	// is the cross-checking escape hatch mirroring -per-mode-profile.
-	ReferenceSim bool
 
 	// SolveLimit and Workers are registered by SolveFlags.
 	SolveLimit time.Duration
@@ -69,10 +56,6 @@ func New(name string) *App {
 		"ignore -cache-dir and recompute everything (artifacts stay in memory for this run)")
 	flag.StringVar(&a.Manifest, "manifest", "",
 		"write a JSON run manifest (per-stage cache hits, misses and timings) to this file")
-	flag.BoolVar(&a.PerModeProfile, "per-mode-profile", false,
-		"simulate every mode when profiling instead of recording one event stream and replaying it (bit-identical, slower)")
-	flag.BoolVar(&a.ReferenceSim, "reference-sim", false,
-		"simulate with the reference instruction-walking interpreter instead of the compiled-table kernel (bit-identical, slower)")
 	flag.StringVar(&a.CPUProfile, "cpuprofile", "",
 		"write a pprof CPU profile of the whole run to this file")
 	flag.StringVar(&a.MemProfile, "memprofile", "",
@@ -130,14 +113,6 @@ func (a *App) Runner() *pipeline.Runner {
 func (a *App) Config() *exp.Config {
 	c := exp.NewConfig(a.Scale)
 	c.Pipeline = a.Runner()
-	c.DisableRecording = a.PerModeProfile
-	if a.ReferenceSim {
-		mc := c.Machine.Config()
-		mc.ReferenceSim = true
-		// The machine pool builds from c.Machine's configuration at Get
-		// time, so swapping the prototype here covers pooled machines too.
-		c.Machine = sim.MustNew(mc)
-	}
 	return c
 }
 

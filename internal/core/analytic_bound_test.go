@@ -205,10 +205,16 @@ func TestAnalyticBoundDeterministic(t *testing.T) {
 	}
 }
 
+// declineBound is an analytic-bound callback that offers no bound for any
+// box. A caller's callback replaces the formulation's own, and the search
+// treats a declined box exactly like no bound, so passing it solves with the
+// analytic bound off.
+func declineBound(map[int]lp.Bound) (float64, bool) { return 0, false }
+
 // TestAnalyticPruningDeterminism is the solver-level determinism contract:
 // with the analytic bound active, a parallel solve must be bit-identical to
-// the serial one, and disabling the bound (milp.Options.DisableAnalyticBound)
-// must change node counts only — never the objective.
+// the serial one, and switching the bound off (declineBound) must change node
+// counts only — never the objective.
 func TestAnalyticPruningDeterminism(t *testing.T) {
 	t.Parallel()
 	_, pr := collectTwoPhase(t)
@@ -225,7 +231,7 @@ func TestAnalyticPruningDeterminism(t *testing.T) {
 	}
 	serial := solve(milp.Options{Workers: 1})
 	parallel := solve(milp.Options{Workers: 4, ParallelThreshold: -1})
-	disabled := solve(milp.Options{Workers: 1, DisableAnalyticBound: true})
+	disabled := solve(milp.Options{Workers: 1, AnalyticBound: declineBound})
 
 	if serial.Solver.Objective != parallel.Solver.Objective {
 		t.Errorf("parallel objective %v != serial %v",
@@ -240,7 +246,7 @@ func TestAnalyticPruningDeterminism(t *testing.T) {
 			disabled.Solver.Objective, serial.Solver.Objective)
 	}
 	if disabled.Solver.AnalyticPrunes != 0 {
-		t.Errorf("DisableAnalyticBound left AnalyticPrunes = %d", disabled.Solver.AnalyticPrunes)
+		t.Errorf("declined bound left AnalyticPrunes = %d", disabled.Solver.AnalyticPrunes)
 	}
 	if serial.Solver.Nodes > disabled.Solver.Nodes {
 		t.Errorf("bound-on committed %d nodes, bound-off only %d",
@@ -262,7 +268,7 @@ func TestGraphAnalyticBoundObjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, err := OptimizeGraph(g, profiles, 2, dl,
-		&Options{MILP: &milp.Options{Workers: 1, DisableAnalyticBound: true}})
+		&Options{MILP: &milp.Options{Workers: 1, AnalyticBound: declineBound}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +277,7 @@ func TestGraphAnalyticBoundObjective(t *testing.T) {
 			on.Solver.Objective, off.Solver.Objective)
 	}
 	if off.Solver.AnalyticPrunes != 0 {
-		t.Errorf("DisableAnalyticBound left AnalyticPrunes = %d", off.Solver.AnalyticPrunes)
+		t.Errorf("declined bound left AnalyticPrunes = %d", off.Solver.AnalyticPrunes)
 	}
 	if on.Solver.Nodes > off.Solver.Nodes {
 		t.Errorf("bound-on committed %d nodes, bound-off only %d",

@@ -126,8 +126,9 @@ func (fm *Formulation) Solve() (*Result, error) {
 // so a disconnected client stops burning solver time.
 func (fm *Formulation) SolveContext(ctx context.Context) (*Result, error) {
 	// Hand the search the formulation's analytic dual bound (a copy of the
-	// caller's options, so shared Options values are never mutated);
-	// milp.Options.DisableAnalyticBound switches it off from there.
+	// caller's options, so shared Options values are never mutated) unless
+	// the caller set its own callback; a callback that declines every box
+	// switches the bound off.
 	mo := milp.Options{}
 	if fm.prep.Opts.MILP != nil {
 		mo = *fm.prep.Opts.MILP

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 
 	"ctdvs/internal/pipeline"
 	"ctdvs/internal/profile"
+	"ctdvs/internal/sim"
 )
 
 // cachedConfig returns a test config whose pipeline persists to dir.
@@ -134,12 +137,26 @@ func TestRecordingSharedAcrossModeSets(t *testing.T) {
 		t.Errorf("warm recording was not served from disk: %+v", s)
 	}
 
-	// The replayed profile is bit-identical to a per-mode-simulated one.
+	// The replayed profile is bit-identical to a per-mode-simulated one: a
+	// machine whose record budget no workload fits takes ProfileCtx's
+	// ErrUnrecordable fallback to profile.CollectPerMode.
 	d := testConfig()
-	d.DisableRecording = true
+	mc := sim.DefaultConfig()
+	mc.RecordBudgetEvents = 2
+	d.Machine = sim.MustNew(mc)
 	prPM, err := d.Profile("adpcm/encode", 0, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := d.Pipeline.Manifest().Stats()[pipeline.StageRecording]; s.Misses != 1 {
+		t.Errorf("fallback profile did not attempt the record stage once: %+v", s)
+	}
+	spec, err := d.Spec("adpcm/encode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.recording(context.Background(), spec, "adpcm/encode", 0); !errors.Is(err, sim.ErrUnrecordable) {
+		t.Errorf("tiny-budget record stage: err = %v, want ErrUnrecordable", err)
 	}
 	enc1, err := profile.Encode(pr3)
 	if err != nil {

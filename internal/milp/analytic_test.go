@@ -27,7 +27,7 @@ func knapsackProblem() *Problem {
 
 // TestAnalyticBoundCallbackWiring pins the callback contract: the search
 // consults the bound at the root and at every child, a vacuous bound changes
-// nothing, and DisableAnalyticBound suppresses the calls entirely.
+// nothing, and a bound that declines every box is the same as none.
 func TestAnalyticBoundCallbackWiring(t *testing.T) {
 	t.Parallel()
 	base := solveOK(t, knapsackProblem(), &Options{Workers: 1})
@@ -60,22 +60,8 @@ func TestAnalyticBoundCallbackWiring(t *testing.T) {
 		t.Errorf("declined bound changed the solve: obj %v/%v nodes %d/%d",
 			declined.Objective, base.Objective, declined.Nodes, base.Nodes)
 	}
-
-	calls = 0
-	disabled := solveOK(t, knapsackProblem(), &Options{
-		Workers:              1,
-		DisableAnalyticBound: true,
-		AnalyticBound: func(ov map[int]lp.Bound) (float64, bool) {
-			calls++
-			return math.Inf(-1), true
-		},
-	})
-	if calls != 0 {
-		t.Errorf("DisableAnalyticBound still consulted the callback %d times", calls)
-	}
-	if disabled.Objective != base.Objective || disabled.Nodes != base.Nodes {
-		t.Errorf("disabled bound changed the solve: obj %v/%v nodes %d/%d",
-			disabled.Objective, base.Objective, disabled.Nodes, base.Nodes)
+	if declined.AnalyticPrunes != 0 {
+		t.Errorf("declined bound pruned %d children", declined.AnalyticPrunes)
 	}
 }
 

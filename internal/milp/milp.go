@@ -144,9 +144,6 @@ type Options struct {
 	// stays bit-for-bit reproducible — but an impure bound would break
 	// run-to-run determinism. It must not mutate the map.
 	AnalyticBound func(overrides map[int]lp.Bound) (float64, bool)
-	// DisableAnalyticBound ignores AnalyticBound for this solve. Pinned
-	// baselines and benchmarking only.
-	DisableAnalyticBound bool
 	// LP tunes the relaxation solver.
 	LP *lp.Options
 }
@@ -178,8 +175,8 @@ type Result struct {
 	// AnalyticPrunes counts branch-and-bound children discarded by
 	// Options.AnalyticBound before any dual-simplex solve was paid for
 	// them. Like the warm-start counters it is deterministic for a given
-	// worker count; it stays zero when no bound callback is set or
-	// DisableAnalyticBound is on.
+	// worker count; it stays zero when no bound callback is set or the
+	// callback declines every box.
 	AnalyticPrunes int
 	// LPPivots is the total simplex pivot count across all LP solves
 	// (including basis-restoration pivots), the search's work metric.
@@ -282,10 +279,6 @@ func SolveContext(ctx context.Context, p *Problem, opts *Options) (*Result, erro
 		if v < 0 || v >= p.LP.NumVars() {
 			return nil, fmt.Errorf("milp: integer variable %d out of range", v)
 		}
-	}
-
-	if o.DisableAnalyticBound {
-		o.AnalyticBound = nil
 	}
 
 	s := &search{

@@ -213,11 +213,11 @@ func TestCompactRemovesStaleTemps(t *testing.T) {
 	}
 }
 
-// TestCompactConcurrentWithReaders is the required race test: Compact runs
-// under a churn of concurrent Gets, pooled-buffer reads and re-Puts. Readers
-// must only ever see an intact artifact or a clean miss — never an error or
-// torn bytes — and the store must stay usable throughout. Run with -race
-// this also proves the atime table's locking.
+// TestCompactConcurrentWithReaders is the required race test: a fixed number
+// of Compact passes run under a churn of concurrent Gets, pooled-buffer reads
+// and re-Puts. Readers must only ever see an intact artifact or a clean miss
+// — never an error or torn bytes — and the store must stay usable
+// throughout. Run with -race this also proves the atime table's locking.
 func TestCompactConcurrentWithReaders(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -235,11 +235,13 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, started sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
+		started.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			started.Done()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -277,12 +279,26 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 			}
 		}(g)
 	}
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		// A budget below the working set forces real evictions every pass.
-		if _, err := s.Compact(nKeys * 512 / 2); err != nil {
+	// Every pass runs with all four readers live. Each pass first restores
+	// the full working set (racing the readers' own re-Puts), and the budget
+	// is half of it, so every pass evicts for real.
+	started.Wait()
+	const passes = 8
+compaction:
+	for pass := 0; pass < passes; pass++ {
+		for i, k := range keys {
+			if err := s.Put(StageProfile, k, payloads[i], FormatBinary); err != nil {
+				t.Errorf("refill: %v", err)
+				break compaction
+			}
+		}
+		st, err := s.Compact(nKeys * 512 / 2)
+		if err != nil {
 			t.Errorf("compact: %v", err)
 			break
+		}
+		if st.EvictedArtifacts == 0 {
+			t.Errorf("pass %d evicted nothing: %+v", pass, st)
 		}
 	}
 	close(stop)

@@ -138,13 +138,8 @@ func DecodeRecordingBinary(data []byte, p *ir.Program, in ir.Input, mc sim.Confi
 	if program != p.Name || input != in.Name {
 		return nil, fmt.Errorf("schedfile: recording artifact is for %s/%s, want %s/%s", program, input, p.Name, in.Name)
 	}
-	// ReferenceSim only selects which of two bit-identical kernels
-	// simulates; it is not part of a recording's identity, so the artifact
-	// never stores it and the machine check ignores it.
-	want := mc
-	want.ReferenceSim = false
-	if machine != want {
-		return nil, fmt.Errorf("schedfile: recording artifact machine %+v does not match configuration %+v", machine, want)
+	if machine != mc {
+		return nil, fmt.Errorf("schedfile: recording artifact machine %+v does not match configuration %+v", machine, mc)
 	}
 	rec := &sim.Recording{
 		Program:   program,

@@ -156,8 +156,7 @@ func TestRecordingRoundTrip(t *testing.T) {
 
 // TestDecodeRecordingRejectsMismatches holds the decoder to the identity a
 // recording is keyed by: the program name and every machine parameter the
-// artifact stores. ReferenceSim only picks between bit-identical kernels, so
-// a difference there alone must still decode.
+// artifact stores.
 func TestDecodeRecordingRejectsMismatches(t *testing.T) {
 	p, in, mc, rec := recordingFixture(t)
 	data, err := EncodeRecordingBinary(rec)
@@ -190,14 +189,12 @@ func TestDecodeRecordingRejectsMismatches(t *testing.T) {
 		}
 	}
 
-	ref := mc
-	ref.ReferenceSim = !mc.ReferenceSim
-	got, err := DecodeRecordingBinary(data, p, in, ref)
+	got, err := DecodeRecordingBinary(data, p, in, mc)
 	if err != nil {
-		t.Fatalf("ReferenceSim alone rejected: %v", err)
+		t.Fatalf("matching machine rejected: %v", err)
 	}
-	if got.Config != ref {
-		t.Errorf("decoded recording carries config %+v, want the caller's %+v", got.Config, ref)
+	if got.Config != mc {
+		t.Errorf("decoded recording carries config %+v, want the caller's %+v", got.Config, mc)
 	}
 }
 

@@ -48,9 +48,28 @@ func (r *refCache) access(addr uint64) bool {
 	return false
 }
 
-// TestCacheMatchesReferenceModel drives the production cache and the
-// reference model with identical random access streams (mixing sequential
-// runs and random jumps) and requires hit/miss agreement on every access.
+// newCkCache returns a cold kernel cache for cc.
+func newCkCache(cc CacheConfig) *ckCache {
+	c := &ckCache{}
+	c.init(cc)
+	return c
+}
+
+// access is the compiled kernel's probe, as runCompiled inlines it: compare
+// way 0, then fall back to accessSlow.
+func (c *ckCache) access(addr uint64) bool {
+	line := addr >> c.lineShift
+	key := line + 1
+	wb := int(line&c.setMask) * c.assoc
+	if c.keys[wb] == key {
+		return true
+	}
+	return c.accessSlow(c.keys[wb:wb+c.assoc], key)
+}
+
+// TestCacheMatchesReferenceModel drives the kernel's cache and the reference
+// model with identical random access streams (mixing sequential runs and
+// random jumps) and requires hit/miss agreement on every access.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	t.Parallel()
 	cfgs := []CacheConfig{
@@ -63,7 +82,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		cc := cc
 		err := quick.Check(func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			prod := newCache(cc)
+			prod := newCkCache(cc)
 			ref := newRefCache(cc)
 			addr := uint64(rng.Intn(1 << 20))
 			for i := 0; i < 3000; i++ {
@@ -87,15 +106,16 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestCacheResetForgets checks reset() leaves no resident lines.
+// TestCacheResetForgets checks that re-initializing a warm cache, as every
+// run does, leaves no resident lines.
 func TestCacheResetForgets(t *testing.T) {
 	t.Parallel()
 	cc := CacheConfig{SizeBytes: 1 << 10, Assoc: 2, LineBytes: 16, LatencyCycles: 1}
-	c := newCache(cc)
+	c := newCkCache(cc)
 	for a := uint64(0); a < 1024; a += 4 {
 		c.access(a)
 	}
-	c.reset()
+	c.init(cc)
 	for a := uint64(0); a < 1024; a += 16 {
 		if c.access(a) {
 			t.Fatalf("address %#x hit after reset", a)

@@ -19,15 +19,15 @@ import (
 // genuinely dynamic work (cache probes, predictor updates, memory-channel
 // drain, RNG draws).
 //
-// Bit-for-bit fidelity with the reference interpreter (Config.ReferenceSim,
-// see runReference) comes from performing exactly its floating-point
-// operations in exactly its order: the compiled kernel only hoists
-// expressions whose operands cannot change between evaluations — the
-// per-mode time/energy increments, recomputed with the reference
-// expression shapes whenever the mode changes — and replaces interface
-// dispatch, map lookups and per-run allocations with table indexing. The
-// same expression shapes are shared with Recording.ReplayAll, so
-// Run ↔ Record ↔ ReplayAll all agree bit for bit (asserted by the
+// Bit-for-bit fidelity with the original instruction-walking interpreter
+// (kept as the test oracle in reference_test.go) comes from performing
+// exactly its floating-point operations in exactly its order: the compiled
+// kernel only hoists expressions whose operands cannot change between
+// evaluations — the per-mode time/energy increments, recomputed with the
+// reference expression shapes whenever the mode changes — and replaces
+// interface dispatch, map lookups and per-run allocations with table
+// indexing. The same expression shapes are shared with Recording.ReplayAll,
+// so Run ↔ Record ↔ ReplayAll all agree bit for bit (asserted by the
 // randomized property tests in compile_test.go and replay_test.go).
 
 // Branch condition kinds of a compiled block terminator.
@@ -52,8 +52,8 @@ type cop struct {
 	// count run-length-encodes consecutive accesses to the same stream
 	// (loads and stores lower identically): the kernel replays the record
 	// count times with the cursor held in a register, which is the same
-	// access sequence the reference interpreter produces one instruction at
-	// a time. 1 for opCompute.
+	// access sequence as walking the instructions one at a time. 1 for
+	// opCompute.
 	count int32
 	cyc   int64 // opCompute: cycles, for Params accounting
 	// fcyc is float64(cyc) for opCompute, the value scaled by 1/f.
@@ -134,7 +134,7 @@ func CompileProgram(p *ir.Program, c Config) (*CompiledProgram, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	info, maxCond, numEdges, numPaths := buildBlockInfo(p, nil)
+	info, maxCond, numEdges, numPaths := buildBlockInfo(p)
 	cp := &CompiledProgram{
 		prog:     p,
 		cfg:      c,
@@ -221,17 +221,16 @@ func CompileProgram(p *ir.Program, c Config) (*CompiledProgram, error) {
 	return cp, nil
 }
 
-// ckCache is the compiled kernel's representation of the set-associative LRU
-// cache: the same structure as (*cache) — identical set indexing, MRU-first
-// way order, move-to-front on hit, evict-last-way on miss — but each way
-// stores line+1 (zero meaning empty) instead of a (tag, valid) pair. A real
-// line's key is never zero (addresses are stream base + offset, far below the
-// top of the address space), so one uint64 compare is both the tag match and
-// the validity check, and the common way-0 probe inlines at the access site
-// in the hot loop. Valid ways form a prefix exactly as in (*cache) — fills
-// and evictions both insert at way 0 — so the scan needs no validity state.
-// The hit/miss sequence for any address sequence is bit-identical to
-// (*cache) by construction.
+// ckCache is the simulator's set-associative LRU cache: sets indexed by the
+// low line-address bits, ways in MRU-first order, move-to-front on hit,
+// evict-last-way on miss. Each way stores line+1 (zero meaning empty) instead
+// of a (tag, valid) pair. A real line's key is never zero (addresses are
+// stream base + offset, far below the top of the address space), so one
+// uint64 compare is both the tag match and the validity check, and the
+// common way-0 probe inlines at the access site in the hot loop. Valid ways
+// form a prefix — fills and evictions both insert at way 0 — so the scan
+// needs no validity state. The hit/miss sequence is property-tested against
+// a plain LRU model (cache_property_test.go).
 type ckCache struct {
 	lineShift uint
 	setMask   uint64
@@ -348,9 +347,10 @@ func (m *Machine) modeConstsFor(mode volt.Mode, l1Cycles, l2Cycles, pen int64) (
 	return
 }
 
-// runCompiled is the specialized interpreter hot loop. It mirrors
-// runReference exactly — same event order, same floating-point expression
-// shapes, same RNG draw sequence — executing against the compiled tables.
+// runCompiled is the specialized interpreter hot loop. It mirrors the
+// reference interpreter exactly — same event order, same floating-point
+// expression shapes, same RNG draw sequence — executing against the compiled
+// tables.
 func (m *Machine) runCompiled(cp *CompiledProgram, in ir.Input, sched *Schedule, gov *govRun, initial volt.Mode) (*Result, error) {
 	m.pred.reset()
 
@@ -373,9 +373,8 @@ func (m *Machine) runCompiled(cp *CompiledProgram, in ir.Input, sched *Schedule,
 	l2Shift, l2Mask, l2Assoc, l2Keys := l2.lineShift, l2.setMask, l2.assoc, l2.keys
 	rec, hook, pred := m.rec, m.EdgeHook, m.pred
 
-	// Resolve per-input branch behaviour once: the reference loop calls
-	// in.TripFor/ProbFor (map lookups) on every evaluation; the values
-	// cannot change within a run.
+	// Resolve per-input branch behaviour once: in.TripFor/ProbFor are map
+	// lookups, and their values cannot change within a run.
 	for i := range cp.blocks {
 		cb := &cp.blocks[i]
 		switch cb.cond {
@@ -387,7 +386,7 @@ func (m *Machine) runCompiled(cp *CompiledProgram, in ir.Input, sched *Schedule,
 	}
 
 	// Per-run DVS overlay: schedule assignments resolved to dense edge IDs.
-	// Edges absent from the CFG are ignored, like buildBlockInfo does.
+	// Edges absent from the CFG are ignored.
 	var dvsEdge []int32
 	if sched != nil {
 		buf.dvsEdge = grown(buf.dvsEdge, cp.numEdges)
@@ -532,8 +531,8 @@ func (m *Machine) runCompiled(cp *CompiledProgram, in ir.Input, sched *Schedule,
 			// Memory accesses: op.count consecutive accesses to one stream,
 			// the cursor held in a register across the run. Each access
 			// probes L1, then L2, then books an asynchronous main-memory
-			// channel (inlined memAccess with the per-mode constants hoisted
-			// and the stream descriptor flattened into the op record).
+			// channel, with the per-mode constants hoisted and the stream
+			// descriptor flattened into the op record.
 			isRandom, fastWrap := op.random, op.fastWrap
 			stride, ws, base := op.stride, op.ws, op.base
 			off := streamOff[op.stream]

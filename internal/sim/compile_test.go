@@ -12,13 +12,6 @@ import (
 	"ctdvs/internal/volt"
 )
 
-// refMachine builds a machine identical to mc but running the reference
-// instruction-walking interpreter, the oracle the compiled kernel must match.
-func refMachine(mc Config) *Machine {
-	mc.ReferenceSim = true
-	return MustNew(mc)
-}
-
 // randomSchedule assigns a random mode to a random subset of p's CFG edges
 // (sometimes including the virtual entry edge, sometimes a nonexistent edge,
 // which both kernels must silently ignore).
@@ -57,11 +50,11 @@ func TestCompiledMatchesReferenceRun(t *testing.T) {
 	modeSets := [][]volt.Mode{volt.XScale3().Modes(), ms5.Modes()}
 	for ci, mc := range replayTestConfigs() {
 		comp := MustNew(mc)
-		ref := refMachine(mc)
+		ref := MustNew(mc)
 		for pi := 0; pi < 8; pi++ {
 			p, in := randomProgram(rng, fmt.Sprintf("comp-%d-%d", ci, pi))
 			for _, mode := range modeSets[pi%len(modeSets)] {
-				want, err := ref.Run(p, in, mode)
+				want, err := ref.refRun(p, in, mode)
 				if err != nil {
 					t.Fatalf("cfg %d prog %d: reference: %v", ci, pi, err)
 				}
@@ -82,11 +75,11 @@ func TestCompiledMatchesReferenceDVS(t *testing.T) {
 	ms := volt.XScale3()
 	for ci, mc := range replayTestConfigs() {
 		comp := MustNew(mc)
-		ref := refMachine(mc)
+		ref := MustNew(mc)
 		for pi := 0; pi < 8; pi++ {
 			p, in := randomProgram(rng, fmt.Sprintf("dvs-%d-%d", ci, pi))
 			sched := randomSchedule(t, rng, p, ms)
-			want, err := ref.RunDVS(p, in, sched)
+			want, err := ref.refRunDVS(p, in, sched)
 			if err != nil {
 				t.Fatalf("cfg %d prog %d: reference: %v", ci, pi, err)
 			}
@@ -106,11 +99,11 @@ func TestCompiledMatchesReferenceRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	for ci, mc := range replayTestConfigs() {
 		comp := MustNew(mc)
-		ref := refMachine(mc)
+		ref := MustNew(mc)
 		for pi := 0; pi < 5; pi++ {
 			p, in := randomProgram(rng, fmt.Sprintf("rec-%d-%d", ci, pi))
 			mode := volt.XScale3().Max()
-			wantRec, wantRes, err := ref.Record(p, in, mode)
+			wantRec, wantRes, err := ref.refRecord(p, in, mode)
 			if err != nil {
 				t.Fatalf("cfg %d prog %d: reference: %v", ci, pi, err)
 			}
@@ -119,9 +112,6 @@ func TestCompiledMatchesReferenceRecord(t *testing.T) {
 				t.Fatalf("cfg %d prog %d: compiled: %v", ci, pi, err)
 			}
 			checkReplayedResult(t, fmt.Sprintf("cfg %d prog %d", ci, pi), wantRes, gotRes)
-			// The recordings must agree modulo the kernel-selection flag,
-			// which is part of the machine config but not of the stream.
-			wantRec.Config.ReferenceSim = false
 			if !reflect.DeepEqual(wantRec, gotRec) {
 				t.Errorf("cfg %d prog %d: recordings differ", ci, pi)
 			}
@@ -136,11 +126,11 @@ func TestCompiledMatchesReferenceGoverned(t *testing.T) {
 	ms := volt.XScale3()
 	for ci, mc := range replayTestConfigs() {
 		comp := MustNew(mc)
-		ref := refMachine(mc)
+		ref := MustNew(mc)
 		prog := phased(500)
 		in := ir.Input{Name: "g", Seed: 17}
 		mkGov := func() Governor { return &UtilizationGovernor{Modes: ms, Low: 0.6, High: 0.9} }
-		want, err := ref.RunGoverned(prog, in, ms, volt.DefaultRegulator(), ms.Len()-1, 50, mkGov())
+		want, err := ref.refRunGoverned(prog, in, ms, volt.DefaultRegulator(), ms.Len()-1, 50, mkGov())
 		if err != nil {
 			t.Fatalf("cfg %d: reference: %v", ci, err)
 		}
@@ -158,17 +148,17 @@ func TestCompiledEdgeHook(t *testing.T) {
 	rng := rand.New(rand.NewSource(171))
 	p, in := randomProgram(rng, "hook")
 	mode := volt.XScale3().Max()
-	trace := func(m *Machine) [][2]int {
+	trace := func(run func(*Machine) (*Result, error)) [][2]int {
+		m := MustNew(DefaultConfig())
 		var seq [][2]int
 		m.EdgeHook = func(from, to int) { seq = append(seq, [2]int{from, to}) }
-		if _, err := m.Run(p, in, mode); err != nil {
+		if _, err := run(m); err != nil {
 			t.Fatal(err)
 		}
-		m.EdgeHook = nil
 		return seq
 	}
-	want := trace(refMachine(DefaultConfig()))
-	got := trace(MustNew(DefaultConfig()))
+	want := trace(func(m *Machine) (*Result, error) { return m.refRun(p, in, mode) })
+	got := trace(func(m *Machine) (*Result, error) { return m.Run(p, in, mode) })
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("edge sequences differ: reference %d edges, compiled %d", len(want), len(got))
 	}

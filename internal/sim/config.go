@@ -18,6 +18,12 @@
 // frequency.
 package sim
 
+import "fmt"
+
+func errf(format string, args ...interface{}) error {
+	return fmt.Errorf("sim: "+format, args...)
+}
+
 // CacheConfig describes one cache level.
 type CacheConfig struct {
 	SizeBytes int // total capacity
@@ -70,10 +76,9 @@ type Config struct {
 	// may capture, in events (block executions + memory accesses + executed
 	// branches); a run that would exceed it aborts recording with
 	// ErrUnrecordable and callers fall back to per-mode simulation. Zero
-	// selects DefaultRecordBudget; a negative value disables recording
-	// entirely (every Record reports ErrUnrecordable). The budget is checked
-	// at block granularity, so the captured stream may overshoot it by the
-	// events of one block.
+	// selects DefaultRecordBudget; negative values are invalid. The budget
+	// is checked at block granularity, so the captured stream may overshoot
+	// it by the events of one block.
 	RecordBudgetEvents int
 
 	// Effective switched capacitance per activity, in nanofarads: energy per
@@ -83,14 +88,6 @@ type Config struct {
 	CeffComputeNF float64 // per computation cycle
 	CeffL1NF      float64 // per L1 access
 	CeffL2NF      float64 // per L2 access cycle
-
-	// ReferenceSim selects the original instruction-walking interpreter
-	// instead of the compiled-table kernel (see CompileProgram). The two are
-	// bit-identical on every program, input, schedule and mode set — asserted
-	// by randomized property tests — so this is an escape hatch for
-	// cross-checking and benchmarking, not a semantic switch. Answers never
-	// change; artifact cache keys deliberately ignore it.
-	ReferenceSim bool
 }
 
 // DefaultConfig returns the Table 2 machine: 64 KB 4-way 32 B L1 (1 cycle),
@@ -132,6 +129,9 @@ func (c Config) Validate() error {
 	}
 	if c.MispredictPenaltyCycles < 0 {
 		return errf("negative mispredict penalty")
+	}
+	if c.RecordBudgetEvents < 0 {
+		return errf("negative record budget %d", c.RecordBudgetEvents)
 	}
 	if c.CeffComputeNF <= 0 || c.CeffL1NF <= 0 || c.CeffL2NF <= 0 {
 		return errf("effective capacitances must be positive")

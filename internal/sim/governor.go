@@ -149,5 +149,6 @@ func (m *Machine) RunGoverned(p *ir.Program, in ir.Input, modes *volt.ModeSet,
 	if intervalUS <= 0 {
 		return nil, errf("interval must be positive")
 	}
-	return m.runGoverned(p, in, modes, reg, initial, intervalUS, g)
+	gr := &govRun{modes: modes, reg: reg, intervalUS: intervalUS, g: g}
+	return m.run(p, in, nil, gr, modes.Mode(initial))
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // ErrUnrecordable reports that a run cannot be captured as a replayable
-// event stream: recording is disabled by configuration, or the run's event
-// stream would exceed the recording budget. Callers that profile via
-// Record/Replay fall back to per-mode simulation when errors.Is reports this
-// sentinel; answers never change, only the amount of work.
+// event stream because the stream would exceed the recording budget. Callers
+// that profile via Record/Replay fall back to per-mode simulation when
+// errors.Is reports this sentinel; answers never change, only the amount of
+// work.
 var ErrUnrecordable = errors.New("sim: run is outside the replay invariance envelope")
 
 // DefaultRecordBudget is the event-stream budget used when
@@ -169,7 +169,7 @@ type replayBlock struct {
 }
 
 // replayLayout is the compiled, program-derived side of a Recording: block
-// op templates plus the same dense edge/path numbering the interpreter uses.
+// op templates plus the same dense edge/path numbering the kernel uses.
 type replayLayout struct {
 	info     []blockInfo
 	blocks   []replayBlock
@@ -193,7 +193,7 @@ func layoutFor(p *ir.Program) *replayLayout {
 		return v.(*replayLayout)
 	}
 	lay := &replayLayout{}
-	lay.info, _, lay.numEdges, lay.numPaths = buildBlockInfo(p, nil)
+	lay.info, _, lay.numEdges, lay.numPaths = buildBlockInfo(p)
 	lay.blocks = make([]replayBlock, len(p.Blocks))
 	for i, b := range p.Blocks {
 		rb := &lay.blocks[i]
@@ -315,13 +315,16 @@ func (rec *Recording) validateStream(lay *replayLayout) error {
 // identical to Run's at that mode. Only fixed-mode runs are recordable —
 // governed and DVS-scheduled runs change modes mid-trace, which is outside
 // the invariance envelope by construction, so the API does not offer them.
-// Record reports an error wrapping ErrUnrecordable when recording is
-// disabled or the stream exceeds the budget (see Config.RecordBudgetEvents).
+// Record reports an error wrapping ErrUnrecordable when the stream exceeds
+// the budget (see Config.RecordBudgetEvents).
 func (m *Machine) Record(p *ir.Program, in ir.Input, mode volt.Mode) (*Recording, *Result, error) {
-	if m.cfg.RecordBudgetEvents < 0 {
-		return nil, nil, fmt.Errorf("%w: recording disabled by configuration (RecordBudgetEvents = %d)",
-			ErrUnrecordable, m.cfg.RecordBudgetEvents)
-	}
+	return m.record(p, in, func() (*Result, error) { return m.run(p, in, nil, nil, mode) })
+}
+
+// record executes run with the machine's recorder attached and seals the
+// captured stream into a bound Recording. run must simulate p on in at one
+// fixed mode on this machine.
+func (m *Machine) record(p *ir.Program, in ir.Input, run func() (*Result, error)) (*Recording, *Result, error) {
 	budget := int64(m.cfg.RecordBudgetEvents)
 	if budget == 0 {
 		budget = DefaultRecordBudget
@@ -331,7 +334,7 @@ func (m *Machine) Record(p *ir.Program, in ir.Input, mode volt.Mode) (*Recording
 	}
 	m.scratch.reset(budget)
 	m.rec = m.scratch
-	res, err := m.run(p, in, nil, nil, mode)
+	res, err := run()
 	m.rec = nil
 	if err != nil {
 		if m.scratch.overflow {

@@ -155,7 +155,7 @@ func TestReplayMatchesRunBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refm := refMachine(mc)
+			refm := MustNew(mc)
 			for mi, mode := range modes {
 				want, err := m.Run(p, in, mode)
 				if err != nil {
@@ -170,7 +170,7 @@ func TestReplayMatchesRunBitForBit(t *testing.T) {
 				checkReplayedResult(t, ctx+" (batched)", want, batch[mi])
 				// Replay must also match the reference interpreter, closing
 				// the Run ↔ Record ↔ Replay ↔ reference identity square.
-				refRes, err := refm.Run(p, in, mode)
+				refRes, err := refm.refRun(p, in, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,10 +218,10 @@ func TestRecordEnvelope(t *testing.T) {
 	p, in := randomProgram(rng, "envelope")
 	mode := volt.XScale3().Max()
 
-	off := DefaultConfig()
-	off.RecordBudgetEvents = -1
-	if _, _, err := MustNew(off).Record(p, in, mode); !errors.Is(err, ErrUnrecordable) {
-		t.Errorf("disabled recording: err = %v, want ErrUnrecordable", err)
+	negative := DefaultConfig()
+	negative.RecordBudgetEvents = -1
+	if _, err := New(negative); err == nil {
+		t.Error("New accepted a negative record budget")
 	}
 
 	tiny := DefaultConfig()
@@ -245,8 +245,8 @@ func TestReplayUnboundRecording(t *testing.T) {
 
 // TestDenseCountsMatchGraph pins the correspondence between the simulator's
 // dense count arrays and cfg.FromProgram numbering: EdgeCountsByID[g.EdgeID(e)]
-// must equal CountMaps' count of e, and PathCountsByID must follow g.Paths
-// order. CountMaps derives its keys from buildBlockInfo's independent
+// must equal countMaps' count of e, and PathCountsByID must follow g.Paths
+// order. countMaps derives its keys from buildBlockInfo's independent
 // numbering, so agreement here pins the two numberings to each other.
 func TestDenseCountsMatchGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -265,7 +265,7 @@ func TestDenseCountsMatchGraph(t *testing.T) {
 			t.Fatalf("prog %d: dense dims (%d, %d), graph (%d, %d)",
 				pi, len(res.EdgeCountsByID), len(res.PathCountsByID), g.NumEdges(), len(g.Paths))
 		}
-		edgeCounts, pathCounts, err := res.CountMaps(p)
+		edgeCounts, pathCounts, err := countMaps(p, res)
 		if err != nil {
 			t.Fatal(err)
 		}

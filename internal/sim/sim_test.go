@@ -168,7 +168,7 @@ func TestEdgeAndPathCounts(t *testing.T) {
 	p := memLoop(trips, 1<<12, false)
 	res := run(t, p, mode800())
 
-	edgeCounts, pathCounts, err := res.CountMaps(p)
+	edgeCounts, pathCounts, err := countMaps(p, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestFormatParams(t *testing.T) {
 func TestCacheLRU(t *testing.T) {
 	t.Parallel()
 	// Direct unit test of the cache structure: 2 sets, 2 ways, 16 B lines.
-	c := newCache(CacheConfig{SizeBytes: 64, Assoc: 2, LineBytes: 16, LatencyCycles: 1})
+	c := newCkCache(CacheConfig{SizeBytes: 64, Assoc: 2, LineBytes: 16, LatencyCycles: 1})
 	// Addresses mapping to set 0: lines 0, 2, 4 (line = addr>>4).
 	if c.access(0x00) {
 		t.Error("cold access hit")
